@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (BasConfig, ObjectiveError, RunResult, ScheduleSpec,
-                   GEOMETRIC, GEOMETRIC_OFFSET, derive_trial_seed, run)
+                   GEOMETRIC, GEOMETRIC_OFFSET, derive_trial_seed, run_trials)
+from .core import run  # noqa: F401  (kept importable here; perfbench/tracer.py wraps it)
 from .objectives import lookup_objective, objective_names
 from .oracle import GridSpec, grid_search, random_search_baseline
 
@@ -50,6 +51,10 @@ _DEFAULTS = {
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
+
+
+class CampaignError(RuntimeError):
+    """A trial of the campaign failed; the message names the trial."""
 
 
 @dataclass(frozen=True)
@@ -284,7 +289,8 @@ def config_echo(cfg: ExperimentConfig, init_box) -> dict:
     }
 
 
-def _trial_bas_config(cfg: ExperimentConfig, init_box, trial: int) -> BasConfig:
+def _bas_config(cfg: ExperimentConfig, init_box) -> BasConfig:
+    """Search config shared by every trial; each trial runs with its own seed."""
     return BasConfig(
         dimension=cfg.dim,
         d0=cfg.d0,
@@ -292,7 +298,7 @@ def _trial_bas_config(cfg: ExperimentConfig, init_box, trial: int) -> BasConfig:
         d_schedule=ScheduleSpec(GEOMETRIC_OFFSET, rate=cfg.eta_d, offset=cfg.offset_d),
         delta_schedule=ScheduleSpec(GEOMETRIC, rate=cfg.eta_delta),
         max_iters=cfg.iters,
-        seed=derive_trial_seed(cfg.seed, trial),
+        seed=cfg.seed,
         init_box=init_box,
         clamp_box=init_box if cfg.clamp else None,
         target_value=cfg.target,
@@ -346,18 +352,19 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
+    seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.trials)]
+    written = range({"all": cfg.trials, "first": 1, "none": 0}[cfg.traj])
     trials = []
-    for i in range(cfg.trials):
-        bas_cfg = _trial_bas_config(cfg, init_box, i)
-        try:
-            result = run(bas_cfg, objective)
-        except ObjectiveError as err:
-            raise RuntimeError(f"trial {i}: {err}") from err
-        trials.append(TrialResult(trial=i, seed=bas_cfg.seed, f_bst=result.f_bst,
-                                  x_bst=result.x_bst, evals=result.evals,
-                                  termination=result.termination))
-        if cfg.traj == "all" or (cfg.traj == "first" and i == 0):
-            emit_trajectory(result, out_dir / f"traj_{i:03d}.csv")
+    try:
+        for i, result in enumerate(run_trials(_bas_config(cfg, init_box), objective,
+                                              seeds, record=written)):
+            trials.append(TrialResult(trial=i, seed=seeds[i], f_bst=result.f_bst,
+                                      x_bst=result.x_bst, evals=result.evals,
+                                      termination=result.termination))
+            if i in written:
+                emit_trajectory(result, out_dir / f"traj_{i:03d}.csv")
+    except ObjectiveError as err:
+        raise CampaignError(f"trial {err.trial}: {err}") from err
     duration = time.perf_counter() - started
 
     f_values = np.array([t.f_bst for t in trials])
@@ -451,7 +458,7 @@ def main(argv=None) -> int:
                 print(f"  best_f={f!r} best_x={coords}")
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (ConfigError, ValueError) as err:
+    except (ConfigError, ValueError, CampaignError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

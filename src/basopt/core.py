@@ -10,12 +10,19 @@ explores widely at first and settles later.
 Everything is driven by an explicit ``numpy.random.Generator``; a run is a
 pure function of its config (including the seed), which the test suite
 exploits for bit-exact reproducibility checks.
+
+``bas_iterate`` is the single-step reference. ``run_trials`` is the engine
+that executes searches: it moves a block of independent beetles in lockstep
+as one ``(n, k)`` array, one ``Objective.batch`` call for all antenna tips
+and one for all new positions per iteration, and reproduces the reference
+bit for bit (each trial keeps its own generator and the same arithmetic).
+``run`` is its single-trial case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Container, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,23 +42,27 @@ TERM_STALLED = "stalled"
 
 _MIN_DIRECTION_NORM = 1e-12
 
+# Trials moved in lockstep by ``run_trials``; bounds the engine's working set.
+_TRIAL_BLOCK = 64
+# Iterations of directions drawn per generator call in ``run_trials``.
+_DIRECTION_CHUNK = 25
+
 
 class ObjectiveError(RuntimeError):
     """Raised when an objective evaluation produces a non-finite value."""
 
-    def __init__(self, value: float, x: Array, iteration: Optional[int] = None):
+    def __init__(self, value: float, x: Array, iteration: Optional[int] = None,
+                 trial: Optional[int] = None):
         self.value = value
         self.x = np.asarray(x, dtype=float)
         self.iteration = iteration
+        self.trial = trial  # position in the seeds given to run_trials
         super().__init__(self._describe())
 
     def _describe(self) -> str:
         where = "" if self.iteration is None else f" at iteration {self.iteration}"
         return (f"objective returned non-finite value {self.value!r}{where} "
                 f"for x={self.x.tolist()}")
-
-    def with_iteration(self, iteration: int) -> "ObjectiveError":
-        return ObjectiveError(self.value, self.x, iteration)
 
 
 @dataclass(frozen=True)
@@ -230,6 +241,25 @@ def sample_direction(k: int, rng: np.random.Generator) -> Array:
             return v / norm
 
 
+def sample_directions(k: int, rng: np.random.Generator, count: int) -> Array:
+    """``count`` consecutive ``sample_direction(k, rng)`` draws as a (count, k) array.
+
+    One ``uniform`` call of shape (count, k) consumes the same stream as
+    ``count`` calls of size k, and each row's norm is the same dot-product
+    reduction that ``np.linalg.norm`` applies to a single vector, so the rows
+    match the one-at-a-time draws bit for bit. A row short enough to be
+    rejected shifts the stream, so then the generator is rewound and the
+    chunk is drawn one direction at a time.
+    """
+    state = rng.bit_generator.state
+    v = rng.uniform(-1.0, 1.0, size=(count, k))
+    norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    if norms.min() >= _MIN_DIRECTION_NORM:
+        return v / norms[:, None]
+    rng.bit_generator.state = state
+    return np.array([sample_direction(k, rng) for _ in range(count)])
+
+
 def antenna_probe(x: Array, d: float, b: Array) -> tuple[Array, Array]:
     """Antenna tips ``(x + d*b, x - d*b)`` around the current position."""
     x = np.asarray(x, dtype=float)
@@ -308,6 +338,150 @@ def bas_iterate(state: SearchState, objective: ObjectiveFn,
     return state
 
 
+def _values(objective: ObjectiveFn, points: Array) -> Array:
+    """Objective values of the rows of ``points``: one ``batch`` call when the
+    objective has one, otherwise one call per row in order."""
+    batch = getattr(objective, "batch", None)
+    if batch is not None:
+        return np.asarray(batch(points), dtype=float)
+    return np.array([float(objective(p)) for p in points], dtype=float)
+
+
+def _finite(values: Array, points: Array, rows: Array, t: int, failures: dict) -> Array:
+    """Mask of the finite ``values``; each row with a non-finite one records its
+    first failure ``(value, point, iteration)`` in ``failures``."""
+    ok = np.isfinite(values)
+    if not ok.all():
+        for i in np.flatnonzero(~ok):
+            failures.setdefault(int(rows[i]), (float(values[i]), points[i].copy(), t))
+    return ok
+
+
+def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
+               record: Container[int] = ()) -> Iterator[RunResult]:
+    """Run one search per seed under ``config`` and yield the results in order.
+
+    Each trial is exactly ``run`` with ``config.seed`` replaced by its seed
+    (the config's own seed is not used). Trials whose position in ``seeds``
+    is in ``record`` carry their per-iteration records; the others get an
+    empty ``records`` tuple. Trials move in lockstep blocks, and each block's
+    results are yielded when the block finishes. If an objective value is not
+    finite, the results before the lowest failing trial are yielded and then
+    its ``ObjectiveError`` is raised, with ``trial`` set to its position.
+    """
+    for first in range(0, len(seeds), _TRIAL_BLOCK):
+        block = seeds[first:first + _TRIAL_BLOCK]
+        keep = np.array([first + i in record for i in range(len(block))], dtype=bool)
+        yield from _run_block(config, objective, block, keep, first)
+
+
+def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
+               keep: Array, first: int) -> Iterator[RunResult]:
+    """``run_trials`` for one block: every row of ``x`` is one trial's beetle.
+
+    Rows leave ``active`` when they stop or fail; every array operation acts
+    on the active rows only, in the order and with the scalars ``d`` and
+    ``delta`` that ``bas_iterate`` uses, so each row follows its reference
+    trajectory exactly. Only rows flagged in ``keep`` store history.
+    """
+    n, k = len(seeds), config.dimension
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    x = np.array([init_position(config, rng) for rng in rngs])
+    failures = {}
+    active = np.arange(n)
+    f_bst = _values(objective, x)
+    active = active[_finite(f_bst, x, active, 0, failures)]
+    x_bst = x.copy()
+    iterations = np.zeros(n, dtype=int)
+    stall = np.zeros(n, dtype=int)
+    termination = [TERM_MAX_ITERS] * n
+    clamp = None if config.clamp_box is None else np.asarray(config.clamp_box, dtype=float)
+
+    # History of the kept rows: slot[row] indexes hist_x/hist_f, -1 if not kept.
+    slot = np.where(keep, np.cumsum(keep) - 1, -1)
+    n_keep = int(keep.sum())
+    hist_x = np.empty((n_keep, config.max_iters, k))
+    hist_f = np.empty((n_keep, config.max_iters, 2))  # f_x, f_bst
+    used = []  # (d, delta) of each iteration
+
+    directions = np.empty((n, _DIRECTION_CHUNK, k))
+    d, delta = config.d0, config.delta0
+    for t in range(config.max_iters):
+        if active.size == 0:
+            break
+        j = t % _DIRECTION_CHUNK
+        if j == 0:
+            count = min(_DIRECTION_CHUNK, config.max_iters - t)
+            for row in active:
+                directions[row, :count] = sample_directions(k, rngs[row], count)
+        b = directions[active, j]
+        xa = x[active]
+        offset = d * b
+        x_r, x_l = xa + offset, xa - offset
+        f_tips = _values(objective, np.concatenate((x_r, x_l)))
+        f_r, f_l = f_tips[:active.size], f_tips[active.size:]
+        ok = (_finite(f_r, x_r, active, t + 1, failures)
+              & _finite(f_l, x_l, active, t + 1, failures))
+        if not ok.all():
+            active, b, xa, f_r, f_l = active[ok], b[ok], xa[ok], f_r[ok], f_l[ok]
+            if active.size == 0:
+                break
+        x_new = xa - delta * b * np.sign(f_r - f_l)[:, None]
+        if clamp is not None:
+            x_new = np.clip(x_new, clamp[:, 0], clamp[:, 1])
+        f_new = _values(objective, x_new)
+        ok = _finite(f_new, x_new, active, t + 1, failures)
+        if not ok.all():
+            active, x_new, f_new = active[ok], x_new[ok], f_new[ok]
+
+        x[active] = x_new
+        improved = f_new < f_bst[active]
+        f_bst[active[improved]] = f_new[improved]
+        x_bst[active[improved]] = x_new[improved]
+        iterations[active] = t + 1
+        used.append((d, delta))
+        if n_keep:
+            s = slot[active]
+            kept = s >= 0
+            hist_x[s[kept], t] = x_new[kept]
+            hist_f[s[kept], t, 0] = f_new[kept]
+            hist_f[s[kept], t, 1] = f_bst[active[kept]]
+        d = advance_schedule(d, config.d_schedule)
+        delta = advance_schedule(delta, config.delta_schedule)
+
+        stop = np.zeros(active.size, dtype=bool)
+        if config.target_value is not None:
+            stop = f_bst[active] <= config.target_value
+            for row in active[stop]:
+                termination[row] = TERM_TARGET
+        if config.stall_iters is not None:
+            stall[active] = np.where(improved, 0, stall[active] + 1)
+            stalled = (stall[active] >= config.stall_iters) & ~stop
+            for row in active[stalled]:
+                termination[row] = TERM_STALLED
+            stop |= stalled
+        active = active[~stop]
+
+    lowest = min(failures, default=n)
+    for row in range(lowest):
+        ran = int(iterations[row])
+        records = ()
+        if keep[row]:
+            s = slot[row]
+            records = tuple(
+                IterationRecord(t=t + 1, f_x=f_x, f_bst=f_b, d=d_t, delta=delta_t, x=tuple(xs))
+                for t, ((f_x, f_b), xs, (d_t, delta_t)) in enumerate(
+                    zip(hist_f[s, :ran].tolist(), hist_x[s, :ran].tolist(), used)))
+        yield RunResult(records=records,
+                        x_bst=tuple(x_bst[row].tolist()),
+                        f_bst=float(f_bst[row]),
+                        evals=1 + 3 * ran,
+                        termination=termination[row])
+    if failures:
+        value, point, t = failures[lowest]
+        raise ObjectiveError(value, point, t, trial=first + lowest)
+
+
 def run(config: BasConfig, objective: ObjectiveFn) -> RunResult:
     """Execute a full search and return its trajectory and incumbent.
 
@@ -315,44 +489,10 @@ def run(config: BasConfig, objective: ObjectiveFn) -> RunResult:
     iteration appends one record with the antenna length and step size it
     used. The loop ends at ``max_iters``, or earlier when ``f_bst`` falls to
     ``target_value``, or after ``stall_iters`` consecutive iterations with
-    no improvement of the incumbent.
+    no improvement of the incumbent. This is ``run_trials`` for the single
+    seed ``config.seed``.
     """
-    rng = np.random.default_rng(config.seed)
-    x = init_position(config, rng)
-    try:
-        f0 = _evaluate(objective, x)
-    except ObjectiveError as err:
-        raise err.with_iteration(0) from None
-    state = SearchState(t=0, x=x, d=config.d0, delta=config.delta0,
-                        f_x=f0, x_bst=x.copy(), f_bst=f0, evals=1)
-
-    records = []
-    termination = TERM_MAX_ITERS
-    stall = 0
-    for _ in range(config.max_iters):
-        f_bst_before = state.f_bst
-        d_used, delta_used = state.d, state.delta
-        try:
-            bas_iterate(state, objective, rng, config)
-        except ObjectiveError as err:
-            raise err.with_iteration(state.t + 1) from None
-        records.append(IterationRecord(
-            t=state.t, f_x=state.f_x, f_bst=state.f_bst,
-            d=d_used, delta=delta_used, x=tuple(float(v) for v in state.x)))
-        if config.target_value is not None and state.f_bst <= config.target_value:
-            termination = TERM_TARGET
-            break
-        if config.stall_iters is not None:
-            stall = 0 if state.f_bst < f_bst_before else stall + 1
-            if stall >= config.stall_iters:
-                termination = TERM_STALLED
-                break
-
-    return RunResult(records=tuple(records),
-                     x_bst=tuple(float(v) for v in state.x_bst),
-                     f_bst=state.f_bst,
-                     evals=state.evals,
-                     termination=termination)
+    return next(run_trials(config, objective, (config.seed,), record=(0,)))
 
 
 def derive_trial_seed(master_seed: int, trial: int) -> int:

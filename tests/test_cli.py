@@ -8,6 +8,7 @@ import pytest
 
 from basopt import BasConfig, derive_trial_seed, lookup_objective, run
 from basopt.cli import (
+    CampaignError,
     ConfigError,
     ExperimentConfig,
     format_box_spec,
@@ -312,6 +313,28 @@ def test_main_rejects_bad_value(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error: d0:" in err
+
+
+def test_main_failed_campaign_exits_2(tmp_path, capsys):
+    with np.errstate(over="ignore"):
+        code = main(["run", "--objective", "goldstein_price", "--trials", "3",
+                     "--init-box=-1e100:1e100", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: trial 0: objective returned non-finite value inf "
+                          "at iteration 0 for x=[")
+    assert "Traceback" not in err
+
+
+def test_failed_campaign_names_the_lowest_failing_trial(tmp_path):
+    # x^2 overflows for x above ~1.34e154, so about half the starts fail;
+    # with master seed 3 the first to fail is trial 3.
+    cfg = _cfg(tmp_path, objective="sphere", dim=1, init_box="0:2.6e154",
+               trials=4, seed=3)
+    with np.errstate(over="ignore"), pytest.raises(CampaignError) as exc:
+        run_campaign(cfg)
+    assert str(exc.value).startswith(
+        "trial 3: objective returned non-finite value inf at iteration 0 for x=[")
 
 
 def test_main_oracle_grid(capsys):
