@@ -16,7 +16,10 @@ that executes searches: it moves a block of independent beetles in lockstep
 as one ``(n, k)`` array, one ``Objective.batch`` call for all antenna tips
 and one for all new positions per iteration, and reproduces the reference
 bit for bit (each trial keeps its own generator and the same arithmetic).
-``run`` is its single-trial case.
+A block takes as many consecutive trials as fit a 1 MiB budget for their
+direction chunks and, for recorded trials, their history; neither the block
+partition nor the chunk length enters any trial's arithmetic. ``run`` is
+its single-trial case.
 """
 
 from __future__ import annotations
@@ -42,10 +45,11 @@ TERM_STALLED = "stalled"
 
 _MIN_DIRECTION_NORM = 1e-12
 
-# Trials moved in lockstep by ``run_trials``; bounds the engine's working set.
-_TRIAL_BLOCK = 64
+# Bytes of direction and history arrays per lockstep block in ``run_trials``;
+# bounds the engine's working set.
+_BLOCK_BYTES = 1 << 20
 # Iterations of directions drawn per generator call in ``run_trials``.
-_DIRECTION_CHUNK = 25
+_DIRECTION_CHUNK = 100
 
 
 class ObjectiveError(RuntimeError):
@@ -364,15 +368,39 @@ def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     Each trial is exactly ``run`` with ``config.seed`` replaced by its seed
     (the config's own seed is not used). Trials whose position in ``seeds``
     is in ``record`` carry their per-iteration records; the others get an
-    empty ``records`` tuple. Trials move in lockstep blocks, and each block's
-    results are yielded when the block finishes. If an objective value is not
-    finite, the results before the lowest failing trial are yielded and then
-    its ``ObjectiveError`` is raised, with ``trial`` set to its position.
+    empty ``records`` tuple. Trials move in lockstep blocks of consecutive
+    seeds, as many as fit ``_BLOCK_BYTES`` of direction and history arrays
+    (always at least one), and each block's results are yielded when the
+    block finishes. If an objective value is not finite, the results before
+    the lowest failing trial are yielded and then its ``ObjectiveError`` is
+    raised, with ``trial`` set to its position.
     """
-    for first in range(0, len(seeds), _TRIAL_BLOCK):
-        block = seeds[first:first + _TRIAL_BLOCK]
-        keep = np.array([first + i in record for i in range(len(block))], dtype=bool)
-        yield from _run_block(config, objective, block, keep, first)
+    kept = [i in record for i in range(len(seeds))]
+    for block in _blocks(config, kept):
+        keep = np.array(kept[block.start:block.stop], dtype=bool)
+        yield from _run_block(config, objective, seeds[block.start:block.stop],
+                              keep, block.start)
+
+
+def _blocks(config: BasConfig, kept: Sequence[bool]) -> Iterator[range]:
+    """Split the trials into consecutive ranges whose engine arrays fit
+    ``_BLOCK_BYTES``; a trial too large for the budget runs alone.
+
+    A trial costs its chunk of directions, plus its history if ``kept``
+    (``max_iters`` rows of ``x``, ``f_x`` and ``f_bst``).
+    """
+    k = config.dimension
+    directions = 8 * k * min(config.max_iters, _DIRECTION_CHUNK)
+    history = 8 * config.max_iters * (k + 2)
+    first, size = 0, 0
+    for i, keep in enumerate(kept):
+        cost = directions + (history if keep else 0)
+        if i > first and size + cost > _BLOCK_BYTES:
+            yield range(first, i)
+            first, size = i, 0
+        size += cost
+    if kept:
+        yield range(first, len(kept))
 
 
 def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
@@ -383,14 +411,14 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     on the active rows only, in the order and with the scalars ``d`` and
     ``delta`` that ``bas_iterate`` uses, so each row follows its reference
     trajectory exactly. Only rows flagged in ``keep`` store history.
+    Floating-point warnings are silenced while the block runs, because every
+    non-finite objective value already becomes an ``ObjectiveError``.
     """
     n, k = len(seeds), config.dimension
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x = np.array([init_position(config, rng) for rng in rngs])
     failures = {}
     active = np.arange(n)
-    f_bst = _values(objective, x)
-    active = active[_finite(f_bst, x, active, 0, failures)]
     x_bst = x.copy()
     iterations = np.zeros(n, dtype=int)
     stall = np.zeros(n, dtype=int)
@@ -404,63 +432,67 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     hist_f = np.empty((n_keep, config.max_iters, 2))  # f_x, f_bst
     used = []  # (d, delta) of each iteration
 
-    directions = np.empty((n, _DIRECTION_CHUNK, k))
+    chunk = min(config.max_iters, _DIRECTION_CHUNK)
+    directions = np.empty((n, chunk, k))
     d, delta = config.d0, config.delta0
-    for t in range(config.max_iters):
-        if active.size == 0:
-            break
-        j = t % _DIRECTION_CHUNK
-        if j == 0:
-            count = min(_DIRECTION_CHUNK, config.max_iters - t)
-            for row in active:
-                directions[row, :count] = sample_directions(k, rngs[row], count)
-        b = directions[active, j]
-        xa = x[active]
-        offset = d * b
-        x_r, x_l = xa + offset, xa - offset
-        f_tips = _values(objective, np.concatenate((x_r, x_l)))
-        f_r, f_l = f_tips[:active.size], f_tips[active.size:]
-        ok = (_finite(f_r, x_r, active, t + 1, failures)
-              & _finite(f_l, x_l, active, t + 1, failures))
-        if not ok.all():
-            active, b, xa, f_r, f_l = active[ok], b[ok], xa[ok], f_r[ok], f_l[ok]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_bst = _values(objective, x)
+        active = active[_finite(f_bst, x, active, 0, failures)]
+        for t in range(config.max_iters):
             if active.size == 0:
                 break
-        x_new = xa - delta * b * np.sign(f_r - f_l)[:, None]
-        if clamp is not None:
-            x_new = np.clip(x_new, clamp[:, 0], clamp[:, 1])
-        f_new = _values(objective, x_new)
-        ok = _finite(f_new, x_new, active, t + 1, failures)
-        if not ok.all():
-            active, x_new, f_new = active[ok], x_new[ok], f_new[ok]
+            j = t % chunk
+            if j == 0:
+                count = min(chunk, config.max_iters - t)
+                for row in active:
+                    directions[row, :count] = sample_directions(k, rngs[row], count)
+            b = directions[active, j]
+            xa = x[active]
+            offset = d * b
+            x_r, x_l = xa + offset, xa - offset
+            f_tips = _values(objective, np.concatenate((x_r, x_l)))
+            f_r, f_l = f_tips[:active.size], f_tips[active.size:]
+            ok = (_finite(f_r, x_r, active, t + 1, failures)
+                  & _finite(f_l, x_l, active, t + 1, failures))
+            if not ok.all():
+                active, b, xa, f_r, f_l = active[ok], b[ok], xa[ok], f_r[ok], f_l[ok]
+                if active.size == 0:
+                    break
+            x_new = xa - delta * b * np.sign(f_r - f_l)[:, None]
+            if clamp is not None:
+                x_new = np.clip(x_new, clamp[:, 0], clamp[:, 1])
+            f_new = _values(objective, x_new)
+            ok = _finite(f_new, x_new, active, t + 1, failures)
+            if not ok.all():
+                active, x_new, f_new = active[ok], x_new[ok], f_new[ok]
 
-        x[active] = x_new
-        improved = f_new < f_bst[active]
-        f_bst[active[improved]] = f_new[improved]
-        x_bst[active[improved]] = x_new[improved]
-        iterations[active] = t + 1
-        used.append((d, delta))
-        if n_keep:
-            s = slot[active]
-            kept = s >= 0
-            hist_x[s[kept], t] = x_new[kept]
-            hist_f[s[kept], t, 0] = f_new[kept]
-            hist_f[s[kept], t, 1] = f_bst[active[kept]]
-        d = advance_schedule(d, config.d_schedule)
-        delta = advance_schedule(delta, config.delta_schedule)
+            x[active] = x_new
+            improved = f_new < f_bst[active]
+            f_bst[active[improved]] = f_new[improved]
+            x_bst[active[improved]] = x_new[improved]
+            iterations[active] = t + 1
+            used.append((d, delta))
+            if n_keep:
+                s = slot[active]
+                kept = s >= 0
+                hist_x[s[kept], t] = x_new[kept]
+                hist_f[s[kept], t, 0] = f_new[kept]
+                hist_f[s[kept], t, 1] = f_bst[active[kept]]
+            d = advance_schedule(d, config.d_schedule)
+            delta = advance_schedule(delta, config.delta_schedule)
 
-        stop = np.zeros(active.size, dtype=bool)
-        if config.target_value is not None:
-            stop = f_bst[active] <= config.target_value
-            for row in active[stop]:
-                termination[row] = TERM_TARGET
-        if config.stall_iters is not None:
-            stall[active] = np.where(improved, 0, stall[active] + 1)
-            stalled = (stall[active] >= config.stall_iters) & ~stop
-            for row in active[stalled]:
-                termination[row] = TERM_STALLED
-            stop |= stalled
-        active = active[~stop]
+            stop = np.zeros(active.size, dtype=bool)
+            if config.target_value is not None:
+                stop = f_bst[active] <= config.target_value
+                for row in active[stop]:
+                    termination[row] = TERM_TARGET
+            if config.stall_iters is not None:
+                stall[active] = np.where(improved, 0, stall[active] + 1)
+                stalled = (stall[active] >= config.stall_iters) & ~stop
+                for row in active[stalled]:
+                    termination[row] = TERM_STALLED
+                stop |= stalled
+            active = active[~stop]
 
     lowest = min(failures, default=n)
     for row in range(lowest):

@@ -75,18 +75,24 @@ def _objective(name: str, dim: int):
     stall=st.none() | st.integers(1, 8),
     iters=st.integers(1, 40),
     seeds=st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=7),
-    block=st.sampled_from([1, 3, 64]),
+    block=st.sampled_from(["one", "three", "all"]),
+    chunk=st.sampled_from([1, 7, 100]),
     kept=st.sets(st.integers(0, 6)),
 )
 def test_engine_matches_reference_bit_for_bit(dim, name, clamp, target, stall, iters,
-                                              seeds, block, kept):
+                                              seeds, block, chunk, kept):
     objective = _objective(name, dim)
     box = ((0.0, np.pi),) * dim if name != "sphere" else ((-1.0, 1.0),) * dim
     config = BasConfig(dimension=dim, init_box=box, clamp_box=box if clamp else None,
                        max_iters=iters, target_value=target, stall_iters=stall,
                        delta0=1.5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_TRIAL_BLOCK", block)
+        # every trial alone; three unrecorded trials (fewer recorded ones) per
+        # block; all trials in one block (each costs under 22 KB here)
+        unrecorded = 8 * dim * min(iters, chunk)
+        budget = {"one": 1, "three": 3 * unrecorded, "all": core._BLOCK_BYTES}[block]
+        mp.setattr(core, "_BLOCK_BYTES", budget)
+        mp.setattr(core, "_DIRECTION_CHUNK", chunk)
         got = list(run_trials(config, objective, seeds, record=kept))
     assert len(got) == len(seeds)
     for i, (result, seed) in enumerate(zip(got, seeds)):
@@ -96,6 +102,41 @@ def test_engine_matches_reference_bit_for_bit(dim, name, clamp, target, stall, i
                              evals=want.evals, termination=want.termination)
         # repr tells -0.0 from 0.0, so equal reprs mean equal bits
         assert repr(result) == repr(want)
+
+
+def _trial_bytes(config: BasConfig, kept: bool) -> int:
+    """The engine's arrays for one trial: a chunk of directions, plus history."""
+    k, iters = config.dimension, config.max_iters
+    return 8 * k * min(iters, core._DIRECTION_CHUNK) + (8 * iters * (k + 2) if kept else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(1, 40),
+    iters=st.integers(1, 300),
+    kept=st.lists(st.booleans(), max_size=60),
+    budget=st.integers(1, 1 << 17),
+)
+def test_blocks_partition_trials_within_budget(dim, iters, kept, budget):
+    config = BasConfig(dimension=dim, x0=(0.0,) * dim, max_iters=iters)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_BYTES", budget)
+        blocks = list(core._blocks(config, kept))
+    assert [i for block in blocks for i in block] == list(range(len(kept)))
+    cost = [_trial_bytes(config, keep) for keep in kept]
+    for block, after in zip(blocks, blocks[1:] + [None]):
+        size = sum(cost[i] for i in block)
+        assert len(block) >= 1
+        assert size <= budget or len(block) == 1
+        if after is not None:  # a block ends only where the next trial would not fit
+            assert size + cost[after.start] > budget
+
+
+def test_block_sizes_of_the_campaign_workloads():
+    mich2d = BasConfig(dimension=2, x0=(0.0, 0.0), max_iters=100)
+    assert list(core._blocks(mich2d, [False] * 200)) == [range(200)]
+    mich10d = BasConfig(dimension=10, x0=(0.0,) * 10, max_iters=100)
+    assert [len(b) for b in core._blocks(mich10d, [True] * 500)] == [59] * 8 + [28]
 
 
 def test_run_is_the_single_trial_engine():

@@ -6,12 +6,15 @@ They were recorded with the scalar per-trial run loop that predates the
 lockstep engine, so any drift in directions, arithmetic order, termination
 or serialization fails here. Configs with many trials pin the trajectories
 through one digest over all CSVs (name and bytes, in name order).
+The many-trial configs run again with a lockstep block budget small enough
+to split them into several blocks.
 """
 
 import hashlib
 
 import pytest
 
+import basopt.core as core
 from basopt.cli import parse_config, run_campaign
 
 GOLDEN = {
@@ -56,7 +59,8 @@ GOLDEN = {
             "traj_002.csv": "e35e7f5f9c6911d55dd5b3ea3b466220a8666df6314d1af49fa6213a05000e66",
         },
     ),
-    # More trials than one lockstep block holds, with ragged stops.
+    # Many trials, with ragged stops; test_golden_artifacts_across_blocks
+    # also splits these two into several lockstep blocks.
     "michalewicz_10d_many_trials": (
         ["--objective", "michalewicz", "--dim", "10", "--trials", "300", "--seed", "5",
          "--clamp", "--stall", "20", "--traj", "all"],
@@ -96,4 +100,22 @@ def test_golden_artifacts(tmp_path, name):
     written = sorted(p.name for p in tmp_path.iterdir())
     if "traj_*.csv" not in expected:
         assert written == sorted(expected)
+    assert artifact_hashes(tmp_path, expected) == expected
+
+
+@pytest.mark.parametrize("name", ["michalewicz_10d_many_trials", "michalewicz_2d_many_trials"])
+def test_golden_artifacts_across_blocks(tmp_path, monkeypatch, name):
+    flags, expected = GOLDEN[name]
+    blocks = []
+    run_block = core._run_block
+
+    def counted(*args):
+        blocks.append(len(args[2]))
+        return run_block(*args)
+
+    # 128 KiB holds 81 unrecorded 2-D trials or 7 recorded 10-D ones
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 17)
+    monkeypatch.setattr(core, "_run_block", counted)
+    run_campaign(parse_config(flags + ["--out-dir", str(tmp_path)]))
+    assert len(blocks) >= 3 and sum(blocks) == 300
     assert artifact_hashes(tmp_path, expected) == expected
