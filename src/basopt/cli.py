@@ -306,15 +306,39 @@ def _bas_config(cfg: ExperimentConfig, init_box) -> BasConfig:
     )
 
 
-def emit_trajectory(result: RunResult, path) -> None:
+def emit_trajectory(result: RunResult, path, schedule_text: Optional[dict] = None) -> None:
     """Write one CSV row per iteration: t, objective at x, best so far, the
     antenna length and step size used, then the coordinates of x. Floats
-    are rendered with repr, which round-trips to the identical double."""
+    are rendered with repr, which round-trips to the identical double.
+
+    The rows are ``result.trajectory`` with ``t`` in front. A repr is reused
+    where the value is the same double: ``f_bst`` from the previous row or
+    from this row's ``f_x``, and the ``d,delta`` text from ``schedule_text``,
+    a dict that a campaign passes to every call because its trials share one
+    schedule. Equal doubles have equal reprs except 0.0 and -0.0, so a zero
+    is never reused.
+    """
+    if schedule_text is None:
+        schedule_text = {}
     lines = ["t,f_x,f_bst,d,delta," + ",".join(f"x_{j}" for j in range(len(result.x_bst)))]
-    for r in result.records:
-        lines.append(",".join(
-            [str(r.t), repr(r.f_x), repr(r.f_bst), repr(r.d), repr(r.delta)]
-            + [repr(c) for c in r.x]))
+    f_prev, f_prev_text = None, ""
+    for t, row in enumerate(result.trajectory.tolist(), 1):
+        f_x, f_bst, d, delta = row[0], row[1], row[2], row[3]
+        f_x_text = repr(f_x)
+        if f_bst == f_prev and f_bst:
+            f_bst_text = f_prev_text
+        elif f_bst == f_x and f_bst:
+            f_bst_text = f_x_text
+        else:
+            f_bst_text = repr(f_bst)
+        f_prev, f_prev_text = f_bst, f_bst_text
+        d_delta_text = schedule_text.get((d, delta))
+        if d_delta_text is None:
+            d_delta_text = f"{d!r},{delta!r}"
+            if d and delta:
+                schedule_text[d, delta] = d_delta_text
+        lines.append(f"{t},{f_x_text},{f_bst_text},{d_delta_text},"
+                     + ",".join(map(repr, row[4:])))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -354,6 +378,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     started = time.perf_counter()
     seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.trials)]
     written = range({"all": cfg.trials, "first": 1, "none": 0}[cfg.traj])
+    schedule_text = {}  # shared by the trajectories: every trial has one schedule
     trials = []
     try:
         for i, result in enumerate(run_trials(_bas_config(cfg, init_box), objective,
@@ -362,7 +387,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
                                       x_bst=result.x_bst, evals=result.evals,
                                       termination=result.termination))
             if i in written:
-                emit_trajectory(result, out_dir / f"traj_{i:03d}.csv")
+                emit_trajectory(result, out_dir / f"traj_{i:03d}.csv", schedule_text)
     except ObjectiveError as err:
         raise CampaignError(f"trial {err.trial}: {err}") from err
     duration = time.perf_counter() - started

@@ -139,6 +139,10 @@ def _as_box(value, dimension: Optional[int], name: str) -> tuple:
         raise ValueError(f"{name} bounds must be finite")
     if np.any(arr[:, 0] > arr[:, 1]):
         raise ValueError(f"{name} requires lo <= hi on every axis")
+    with np.errstate(over="ignore"):
+        width = arr[:, 1] - arr[:, 0]
+    if not np.all(np.isfinite(width)):
+        raise ValueError(f"{name} width hi - lo overflows on some axis")
     return tuple((float(lo), float(hi)) for lo, hi in arr)
 
 
@@ -211,7 +215,7 @@ class SearchState:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One trajectory row; the layout the CLI serializes."""
+    """One trajectory row as a record; ``RunResult.records`` builds these."""
 
     t: int
     f_x: float
@@ -221,13 +225,36 @@ class IterationRecord:
     x: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    records: tuple
+    """Outcome of one search.
+
+    ``trajectory`` is a read-only float64 array with one row per iteration
+    and the columns ``f_x, f_bst, d, delta, x_0 ... x_{k-1}``: the objective
+    at the new position, the best value so far, the antenna length and step
+    size the iteration used, then the new position. A trial whose history
+    was not recorded has an empty ``(0, 4 + k)`` trajectory.
+    """
+
+    trajectory: Array
     x_bst: tuple
     f_bst: float
     evals: int
     termination: str
+
+    @property
+    def records(self) -> tuple:
+        """The trajectory as one ``IterationRecord`` per row, built on access."""
+        return tuple(IterationRecord(t=t, f_x=row[0], f_bst=row[1], d=row[2],
+                                     delta=row[3], x=tuple(row[4:]))
+                     for t, row in enumerate(self.trajectory.tolist(), 1))
+
+    def __eq__(self, other):
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return (np.array_equal(self.trajectory, other.trajectory)
+                and (self.x_bst, self.f_bst, self.evals, self.termination)
+                == (other.x_bst, other.f_bst, other.evals, other.termination))
 
 
 def sample_direction(k: int, rng: np.random.Generator) -> Array:
@@ -367,13 +394,13 @@ def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
 
     Each trial is exactly ``run`` with ``config.seed`` replaced by its seed
     (the config's own seed is not used). Trials whose position in ``seeds``
-    is in ``record`` carry their per-iteration records; the others get an
-    empty ``records`` tuple. Trials move in lockstep blocks of consecutive
-    seeds, as many as fit ``_BLOCK_BYTES`` of direction and history arrays
-    (always at least one), and each block's results are yielded when the
-    block finishes. If an objective value is not finite, the results before
-    the lowest failing trial are yielded and then its ``ObjectiveError`` is
-    raised, with ``trial`` set to its position.
+    is in ``record`` carry their trajectory; the others get an empty one.
+    Trials move in lockstep blocks of consecutive seeds, as many as fit
+    ``_BLOCK_BYTES`` of direction and history arrays (always at least one),
+    and each block's results are yielded when the block finishes. If an
+    objective value is not finite, the results before the lowest failing
+    trial are yielded and then its ``ObjectiveError`` is raised, with
+    ``trial`` set to its position.
     """
     kept = [i in record for i in range(len(seeds))]
     for block in _blocks(config, kept):
@@ -387,11 +414,11 @@ def _blocks(config: BasConfig, kept: Sequence[bool]) -> Iterator[range]:
     ``_BLOCK_BYTES``; a trial too large for the budget runs alone.
 
     A trial costs its chunk of directions, plus its history if ``kept``
-    (``max_iters`` rows of ``x``, ``f_x`` and ``f_bst``).
+    (``max_iters`` trajectory rows of ``4 + k`` floats).
     """
     k = config.dimension
     directions = 8 * k * min(config.max_iters, _DIRECTION_CHUNK)
-    history = 8 * config.max_iters * (k + 2)
+    history = 8 * config.max_iters * (4 + k)
     first, size = 0, 0
     for i, keep in enumerate(kept):
         cost = directions + (history if keep else 0)
@@ -425,12 +452,10 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     termination = [TERM_MAX_ITERS] * n
     clamp = None if config.clamp_box is None else np.asarray(config.clamp_box, dtype=float)
 
-    # History of the kept rows: slot[row] indexes hist_x/hist_f, -1 if not kept.
+    # Trajectories of the kept rows: slot[row] indexes hist, -1 if not kept.
     slot = np.where(keep, np.cumsum(keep) - 1, -1)
     n_keep = int(keep.sum())
-    hist_x = np.empty((n_keep, config.max_iters, k))
-    hist_f = np.empty((n_keep, config.max_iters, 2))  # f_x, f_bst
-    used = []  # (d, delta) of each iteration
+    hist = np.empty((n_keep, config.max_iters, 4 + k))
 
     chunk = min(config.max_iters, _DIRECTION_CHUNK)
     directions = np.empty((n, chunk, k))
@@ -471,13 +496,14 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
             f_bst[active[improved]] = f_new[improved]
             x_bst[active[improved]] = x_new[improved]
             iterations[active] = t + 1
-            used.append((d, delta))
             if n_keep:
                 s = slot[active]
                 kept = s >= 0
-                hist_x[s[kept], t] = x_new[kept]
-                hist_f[s[kept], t, 0] = f_new[kept]
-                hist_f[s[kept], t, 1] = f_bst[active[kept]]
+                rows = s[kept]
+                hist[rows, t, 0] = f_new[kept]
+                hist[rows, t, 1] = f_bst[active[kept]]
+                hist[:, t, 2:4] = d, delta
+                hist[rows, t, 4:] = x_new[kept]
             d = advance_schedule(d, config.d_schedule)
             delta = advance_schedule(delta, config.delta_schedule)
 
@@ -495,16 +521,16 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
             active = active[~stop]
 
     lowest = min(failures, default=n)
+    unrecorded = np.empty((0, 4 + k))
+    unrecorded.flags.writeable = False
     for row in range(lowest):
         ran = int(iterations[row])
-        records = ()
+        trajectory = unrecorded
         if keep[row]:
-            s = slot[row]
-            records = tuple(
-                IterationRecord(t=t + 1, f_x=f_x, f_bst=f_b, d=d_t, delta=delta_t, x=tuple(xs))
-                for t, ((f_x, f_b), xs, (d_t, delta_t)) in enumerate(
-                    zip(hist_f[s, :ran].tolist(), hist_x[s, :ran].tolist(), used)))
-        yield RunResult(records=records,
+            # a copy, so that no result keeps the block's history alive
+            trajectory = hist[slot[row], :ran].copy()
+            trajectory.flags.writeable = False
+        yield RunResult(trajectory=trajectory,
                         x_bst=tuple(x_bst[row].tolist()),
                         f_bst=float(f_bst[row]),
                         evals=1 + 3 * ran,
@@ -518,11 +544,11 @@ def run(config: BasConfig, objective: ObjectiveFn) -> RunResult:
     """Execute a full search and return its trajectory and incumbent.
 
     The incumbent starts at the initial position (1 evaluation), then each
-    iteration appends one record with the antenna length and step size it
-    used. The loop ends at ``max_iters``, or earlier when ``f_bst`` falls to
-    ``target_value``, or after ``stall_iters`` consecutive iterations with
-    no improvement of the incumbent. This is ``run_trials`` for the single
-    seed ``config.seed``.
+    iteration appends one trajectory row with the antenna length and step
+    size it used. The loop ends at ``max_iters``, or earlier when ``f_bst``
+    falls to ``target_value``, or after ``stall_iters`` consecutive
+    iterations with no improvement of the incumbent. This is ``run_trials``
+    for the single seed ``config.seed``.
     """
     return next(run_trials(config, objective, (config.seed,), record=(0,)))
 

@@ -5,17 +5,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import basopt
-from basopt import BasConfig, derive_trial_seed, lookup_objective, run
+from basopt import BasConfig, RunResult, derive_trial_seed, lookup_objective, run
 from basopt.cli import (
     CampaignError,
     ConfigError,
     ExperimentConfig,
+    emit_trajectory,
     format_box_spec,
     main,
     parse_box_spec,
@@ -250,6 +255,61 @@ def test_trajectory_contents(tmp_path):
     assert float(rows[1]["d"]) == 1.91 and float(rows[1]["delta"]) == 0.475
 
 
+def legacy_emit_trajectory(result: RunResult, path) -> None:
+    """The writer that formats every field of every record with repr; the
+    byte-for-byte spec of ``emit_trajectory``."""
+    lines = ["t,f_x,f_bst,d,delta," + ",".join(f"x_{j}" for j in range(len(result.x_bst)))]
+    for r in result.records:
+        lines.append(",".join(
+            [str(r.t), repr(r.f_x), repr(r.f_bst), repr(r.d), repr(r.delta)]
+            + [repr(c) for c in r.x]))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# signed zeros, subnormals, and magnitudes whose repr has an exponent
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-05, -1e-05,
+                            1e+16, -1e+16, 1.5e+300, 0.1, 2.0, 1.91])
+_FLOATS = _SPECIAL | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _trajectories(draw):
+    """A trajectory array whose f_bst repeats, equals f_x, or is a signed zero."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 12))
+    x = draw(arrays(np.float64, (n, k), elements=_FLOATS))
+    rows = []
+    f_bst = draw(_FLOATS)
+    for _ in range(n):
+        f_x = draw(_FLOATS)
+        case = draw(st.sampled_from(["repeat", "f_x", "fresh", "-0.0/0.0", "0.0/-0.0"]))
+        if case == "f_x":
+            f_bst = f_x
+        elif case == "fresh":
+            f_bst = draw(_FLOATS)
+        elif case != "repeat":
+            f_x, f_bst = (-0.0, 0.0) if case == "-0.0/0.0" else (0.0, -0.0)
+        # from a small pool, so pairs recur and hit the shared schedule_text
+        d_delta = draw(st.lists(_SPECIAL, min_size=2, max_size=2))
+        rows.append([f_x, f_bst] + d_delta)
+    return np.hstack((np.array(rows, dtype=float).reshape(n, 4), x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trajectories=st.lists(_trajectories(), min_size=1, max_size=3))
+def test_emit_trajectory_matches_the_per_field_writer(trajectories):
+    schedule_text = {}  # one campaign: every call shares it
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        for trajectory in trajectories:
+            k = trajectory.shape[1] - 4
+            result = RunResult(trajectory=trajectory, x_bst=(0.0,) * k, f_bst=0.0,
+                               evals=1 + 3 * len(trajectory), termination="max_iters")
+            emit_trajectory(result, new, schedule_text)
+            legacy_emit_trajectory(result, old)
+            assert new.read_bytes() == old.read_bytes()
+
+
 def test_summary_file_round_trips_the_campaign(tmp_path):
     dir1, dir2 = tmp_path / "a", tmp_path / "b"
     run_campaign(_cfg(dir1, objective="goldstein_price", trials=3, seed=11))
@@ -342,6 +402,24 @@ def test_failed_campaign_prints_only_the_error_line(tmp_path):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: trial 0: ")
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["run", "--objective", "sphere", "--init-box=-1e308:1e308"], "init_box"),
+    (["oracle", "random", "--objective", "sphere", "--evals", "10",
+      "--box=-1e308:1e308"], "box"),
+    (["oracle", "grid", "--objective", "sphere", "--resolution", "10",
+      "--box=-1e308:1e308"], "box"),
+])
+def test_box_whose_width_overflows_is_one_error_line(tmp_path, argv, field):
+    """hi - lo = 2e308 is not a double; the box is refused before any numpy
+    call, with no traceback or RuntimeWarning lines."""
+    env = dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "basopt.cli"] + argv, cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {field} width hi - lo overflows on some axis"]
 
 
 def test_failed_campaign_names_the_lowest_failing_trial(tmp_path):

@@ -230,6 +230,8 @@ def test_config_validation():
         BasConfig(dimension=2, init_box=((1.0, 0.0), (0.0, 1.0)))  # lo > hi
     with pytest.raises(ValueError):
         BasConfig(dimension=1, init_box=((0, 1), (0, 1)))  # box/dimension mismatch
+    with pytest.raises(ValueError, match="clamp_box width"):
+        BasConfig(dimension=2, x0=(0.0, 0.0), clamp_box=((0, 1), (-1e308, 1e308)))
     with pytest.raises(ValueError):
         BasConfig(dimension=1, x0=(0.0,), stall_iters=0)
 

@@ -1,5 +1,7 @@
 """The lockstep engine against the single-step reference, bit for bit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,9 @@ from basopt.core import run_trials, sample_directions
 from basopt.objectives import michalewicz
 
 
-def reference_run(config: BasConfig, objective, seed: int) -> RunResult:
-    """One trial as a plain loop over ``bas_iterate``: the engine's spec."""
+def reference_run(config: BasConfig, objective, seed: int) -> tuple[RunResult, tuple]:
+    """One trial as a plain loop over ``bas_iterate``: the engine's spec.
+    Returns the result and its records, built from the state as it runs."""
     rng = np.random.default_rng(seed)
     x = init_position(config, rng)
     f0 = float(objective(x))
@@ -55,9 +58,22 @@ def reference_run(config: BasConfig, objective, seed: int) -> RunResult:
             if stall >= config.stall_iters:
                 termination = TERM_STALLED
                 break
-    return RunResult(records=tuple(records),
-                     x_bst=tuple(float(v) for v in state.x_bst),
-                     f_bst=state.f_bst, evals=state.evals, termination=termination)
+    trajectory = np.array([(r.f_x, r.f_bst, r.d, r.delta) + r.x for r in records],
+                          dtype=float).reshape(len(records), 4 + config.dimension)
+    result = RunResult(trajectory=trajectory,
+                       x_bst=tuple(float(v) for v in state.x_bst),
+                       f_bst=state.f_bst, evals=state.evals, termination=termination)
+    return result, tuple(records)
+
+
+def assert_same_result(got: RunResult, want: RunResult) -> None:
+    """Bit-for-bit equality: the trajectory by shape and bytes (numpy's repr
+    rounds), the other fields by repr (which tells -0.0 from 0.0)."""
+    assert got.trajectory.dtype == np.float64
+    assert got.trajectory.shape == want.trajectory.shape
+    assert got.trajectory.tobytes() == want.trajectory.tobytes()
+    assert (repr((got.x_bst, got.f_bst, got.evals, got.termination))
+            == repr((want.x_bst, want.f_bst, want.evals, want.termination)))
 
 
 def _objective(name: str, dim: int):
@@ -88,7 +104,7 @@ def test_engine_matches_reference_bit_for_bit(dim, name, clamp, target, stall, i
                        delta0=1.5)
     with pytest.MonkeyPatch.context() as mp:
         # every trial alone; three unrecorded trials (fewer recorded ones) per
-        # block; all trials in one block (each costs under 22 KB here)
+        # block; all trials in one block (each costs under 23 KB here)
         unrecorded = 8 * dim * min(iters, chunk)
         budget = {"one": 1, "three": 3 * unrecorded, "all": core._BLOCK_BYTES}[block]
         mp.setattr(core, "_BLOCK_BYTES", budget)
@@ -96,18 +112,33 @@ def test_engine_matches_reference_bit_for_bit(dim, name, clamp, target, stall, i
         got = list(run_trials(config, objective, seeds, record=kept))
     assert len(got) == len(seeds)
     for i, (result, seed) in enumerate(zip(got, seeds)):
-        want = reference_run(config, objective, seed)
+        want, want_records = reference_run(config, objective, seed)
         if i not in kept:
-            want = RunResult(records=(), x_bst=want.x_bst, f_bst=want.f_bst,
-                             evals=want.evals, termination=want.termination)
+            assert result.trajectory.shape == (0, 4 + dim)
+            want = dataclasses.replace(want, trajectory=np.empty((0, 4 + dim)))
+            want_records = ()
+        assert_same_result(result, want)
         # repr tells -0.0 from 0.0, so equal reprs mean equal bits
-        assert repr(result) == repr(want)
+        assert repr(result.records) == repr(want_records)
+
+
+def test_trajectories_are_read_only_copies():
+    """Each result owns its rows, so the block's history is freed with the block."""
+    obj = lookup_objective("michalewicz", 3)
+    cfg = BasConfig(dimension=3, init_box=obj.init_box, max_iters=12)
+    results = list(run_trials(cfg, obj, [4, 5, 6], record={0, 2}))
+    assert [r.trajectory.shape for r in results] == [(12, 7), (0, 7), (12, 7)]
+    for r in results:
+        assert r.trajectory.base is None or r.trajectory.size == 0
+        assert not r.trajectory.flags.writeable
+    assert [row.t for row in results[0].records] == list(range(1, 13))
+    assert results[1].records == ()
 
 
 def _trial_bytes(config: BasConfig, kept: bool) -> int:
     """The engine's arrays for one trial: a chunk of directions, plus history."""
     k, iters = config.dimension, config.max_iters
-    return 8 * k * min(iters, core._DIRECTION_CHUNK) + (8 * iters * (k + 2) if kept else 0)
+    return 8 * k * min(iters, core._DIRECTION_CHUNK) + (8 * iters * (4 + k) if kept else 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,13 +167,16 @@ def test_block_sizes_of_the_campaign_workloads():
     mich2d = BasConfig(dimension=2, x0=(0.0, 0.0), max_iters=100)
     assert list(core._blocks(mich2d, [False] * 200)) == [range(200)]
     mich10d = BasConfig(dimension=10, x0=(0.0,) * 10, max_iters=100)
-    assert [len(b) for b in core._blocks(mich10d, [True] * 500)] == [59] * 8 + [28]
+    assert [len(b) for b in core._blocks(mich10d, [True] * 500)] == [54] * 9 + [14]
 
 
 def test_run_is_the_single_trial_engine():
     obj = lookup_objective("michalewicz", 2)
     cfg = BasConfig(dimension=2, init_box=obj.init_box, seed=99, stall_iters=10)
-    assert repr(run(cfg, obj)) == repr(reference_run(cfg, obj, 99))
+    want, want_records = reference_run(cfg, obj, 99)
+    result = run(cfg, obj)
+    assert_same_result(result, want)
+    assert repr(result.records) == repr(want_records)
 
 
 def test_scalar_objective_sees_r_l_new_order():
@@ -185,7 +219,7 @@ def test_lowest_failing_trial_is_reported():
     outcomes = []
     for seed in seeds:
         try:
-            outcomes.append(reference_run(cfg, objective, seed))
+            outcomes.append(reference_run(cfg, objective, seed)[0])
         except ObjectiveError as err:
             outcomes.append(err)
     failed = [i for i, o in enumerate(outcomes) if isinstance(o, ObjectiveError)]
