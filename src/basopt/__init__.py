@@ -1,4 +1,8 @@
-"""basopt: beetle antennae search with benchmarks, oracle, and CLI harness."""
+"""basopt: beetle antennae search with benchmarks, oracle, and CLI harness.
+
+The single-step internals that the engine reproduces (``bas_iterate`` and
+its steps) live in ``basopt.core``.
+"""
 
 from .core import (
     BasConfig,
@@ -6,24 +10,14 @@ from .core import (
     ObjectiveError,
     RunResult,
     ScheduleSpec,
-    SearchState,
-    GEOMETRIC,
-    GEOMETRIC_OFFSET,
-    CONSTANT,
     TERM_MAX_ITERS,
     TERM_STALLED,
     TERM_TARGET,
     DEFAULT_D_SCHEDULE,
     DEFAULT_DELTA_SCHEDULE,
-    advance_schedule,
-    antenna_probe,
-    bas_iterate,
     derive_trial_seed,
-    detect_step,
-    init_position,
     run,
     run_trials,
-    sample_direction,
 )
 from .objectives import (
     Objective,
@@ -39,36 +33,26 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasConfig",
-    "CONSTANT",
     "DEFAULT_D_SCHEDULE",
     "DEFAULT_DELTA_SCHEDULE",
-    "GEOMETRIC",
-    "GEOMETRIC_OFFSET",
     "GridSpec",
     "IterationRecord",
     "Objective",
     "ObjectiveError",
     "RunResult",
     "ScheduleSpec",
-    "SearchState",
     "TERM_MAX_ITERS",
     "TERM_STALLED",
     "TERM_TARGET",
-    "advance_schedule",
-    "antenna_probe",
-    "bas_iterate",
     "derive_trial_seed",
-    "detect_step",
     "goldstein_price",
     "grid_search",
-    "init_position",
     "lookup_objective",
     "michalewicz",
     "objective_names",
     "random_search_baseline",
     "run",
     "run_trials",
-    "sample_direction",
     "sphere",
     "__version__",
 ]

@@ -1,12 +1,11 @@
 """Command-line harness for seeded multi-trial search campaigns.
 
 Configuration precedence is flags > config file > built-in defaults; the
-defaults are the benchmark configuration used throughout the test suite
-(d0=2, delta0=0.5, geometric decay 0.95 with antenna offset 0.01, 100
-iterations). A campaign runs ``trials`` independent searches whose seeds
-derive from (master seed, trial index), writes per-trial trajectory CSVs
-plus a JSON summary, and is byte-reproducible: the same config produces
-identical files.
+defaults, the field defaults of ``ExperimentConfig``, are the benchmark
+configuration used throughout the test suite. A campaign runs ``trials``
+independent searches whose seeds derive from (master seed, trial index),
+writes per-trial trajectory CSVs plus a JSON summary, and is
+byte-reproducible: the same config produces identical files.
 """
 
 from __future__ import annotations
@@ -15,66 +14,116 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (BasConfig, ObjectiveError, RunResult, ScheduleSpec,
-                   GEOMETRIC, GEOMETRIC_OFFSET, derive_trial_seed, run_trials)
+                   derive_trial_seed, run_trials)
 from .core import run  # noqa: F401  (kept importable here; perfbench/tracer.py wraps it)
 from .objectives import lookup_objective, objective_names
 from .oracle import GridSpec, grid_search, random_search_baseline
 
 _TRAJ_MODES = ("all", "first", "none")
 
-_DEFAULTS = {
-    "objective": None,  # required
-    "dim": 2,
-    "iters": 100,
-    "d0": 2.0,
-    "delta0": 0.5,
-    "eta_d": 0.95,
-    "offset_d": 0.01,
-    "eta_delta": 0.95,
-    "trials": 1,
-    "seed": 0,
-    "init_box": None,  # None -> objective's default box
-    "clamp": False,
-    "target": None,
-    "stall": None,
-    "out_dir": ".",
-    "traj": "first",
-}
-
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
+    """Invalid experiment configuration; the message begins with the setting."""
 
 
 class CampaignError(RuntimeError):
     """A trial of the campaign failed; the message names the trial."""
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def parse_box_spec(spec: str, field: str = "init-box") -> tuple:
+    """Parse ``lo:hi[,lo:hi...]`` into a tuple of (lo, hi) pairs."""
+    pairs = []
+    for part in spec.split(","):
+        pieces = part.split(":")
+        if len(pieces) != 2:
+            raise ConfigError(f"{field}: expected lo:hi[,lo:hi...], got {spec!r}")
+        try:
+            lo, hi = float(pieces[0]), float(pieces[1])
+        except ValueError:
+            raise ConfigError(f"{field}: malformed number in {part!r}") from None
+        if lo > hi:
+            raise ConfigError(f"{field}: lo must be <= hi, got {part!r}")
+        pairs.append((lo, hi))
+    return tuple(pairs)
+
+
+def format_box_spec(box) -> str:
+    return ",".join(f"{float(lo)!r}:{float(hi)!r}" for lo, hi in box)
+
+
+def _setting(default, parse, help: str, **flag):
+    """A campaign setting: its default, the parser of its text (from a flag
+    or a config file; it raises ``ValueError``), and its flag's help and extra
+    argparse arguments."""
+    return field(default=default, metadata={"parse": parse, "help": help, "flag": flag})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    objective: str
-    dim: int
-    iters: int
-    d0: float
-    delta0: float
-    eta_d: float
-    offset_d: float
-    eta_delta: float
-    trials: int
-    seed: int
-    init_box: Optional[tuple]
-    clamp: bool
-    target: Optional[float]
-    stall: Optional[int]
-    out_dir: str
-    traj: str
+    """A validated campaign configuration; its init fields are the settings.
+
+    A setting ``name`` is the flag ``--name`` and the config-file key
+    ``name``, with ``-`` for ``_`` in either, and errors name it the flag's
+    way. ``search`` is the search config every trial shares (each trial runs
+    with its own seed); building it checks the numeric settings, so an
+    invalid configuration raises ``ConfigError`` on construction.
+    """
+
+    objective: Optional[str] = _setting(None, str, "objective to minimize (required)",
+                                        choices=objective_names())
+    dim: int = _setting(2, int, "search-space dimension")
+    iters: int = _setting(100, int, "iterations per trial")
+    d0: float = _setting(2.0, float, "initial antenna length")
+    delta0: float = _setting(0.5, float, "initial step size")
+    eta_d: float = _setting(0.95, float, "antenna decay rate")
+    offset_d: float = _setting(0.01, float, "antenna decay offset")
+    eta_delta: float = _setting(0.95, float, "step decay rate")
+    trials: int = _setting(1, int, "independent runs")
+    seed: int = _setting(0, int, "campaign master seed")
+    init_box: Optional[tuple] = _setting(None, parse_box_spec,
+                                         "start box override; default is the objective's box",
+                                         metavar="LO:HI[,LO:HI...]")
+    clamp: bool = _setting(False, _parse_bool, "clamp moves to the init box",
+                           action=argparse.BooleanOptionalAction)
+    target: Optional[float] = _setting(None, float, "stop once best value reaches this")
+    stall: Optional[int] = _setting(None, int,
+                                    "stop after this many iterations without improvement")
+    out_dir: str = _setting(".", str, "output directory")
+    traj: str = _setting("first", str, "which trials get a trajectory CSV",
+                         choices=_TRAJ_MODES)
+    search: BasConfig = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "search", _validate(self))
+
+
+_SETTINGS = {f.name: f for f in fields(ExperimentConfig) if f.init}
+
+
+def _parse_setting(name: str, text: str):
+    try:
+        return _SETTINGS[name].metadata["parse"](text)
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"{name.replace('_', '-')}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -99,58 +148,8 @@ class CampaignSummary:
     duration_s: float
 
 
-def _parse_bool(text: str, field: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{field}: expected a boolean, got {text!r}")
-
-
-def parse_box_spec(spec: str, field: str = "init-box") -> tuple:
-    """Parse ``lo:hi[,lo:hi...]`` into a tuple of (lo, hi) pairs."""
-    pairs = []
-    for part in spec.split(","):
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise ConfigError(f"{field}: expected lo:hi[,lo:hi...], got {spec!r}")
-        try:
-            lo, hi = float(pieces[0]), float(pieces[1])
-        except ValueError:
-            raise ConfigError(f"{field}: malformed number in {part!r}") from None
-        if lo > hi:
-            raise ConfigError(f"{field}: lo must be <= hi, got {part!r}")
-        pairs.append((lo, hi))
-    return tuple(pairs)
-
-
-def format_box_spec(box) -> str:
-    return ",".join(f"{float(lo)!r}:{float(hi)!r}" for lo, hi in box)
-
-
-def _coerce_file_value(key: str, text: str):
-    if key in ("objective", "out_dir", "traj"):
-        return text
-    if key in ("dim", "iters", "trials", "seed", "stall"):
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
-    if key in ("d0", "delta0", "eta_d", "offset_d", "eta_delta", "target"):
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-    if key == "clamp":
-        return _parse_bool(text, "clamp")
-    if key == "init_box":
-        return parse_box_spec(text, "init-box")
-    raise ConfigError(f"unknown config key {key!r}")
-
-
 def read_config_file(path) -> dict:
-    """Flat ``key = value`` text; keys mirror the flag names."""
+    """Flat ``key = value`` text; keys are the setting names."""
     values = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -161,88 +160,89 @@ def read_config_file(path) -> dict:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key = key.strip().replace("-", "_")
-        values[key] = _coerce_file_value(key, value.strip())
+        if key not in _SETTINGS:
+            raise ConfigError(f"unknown config key {key!r}")
+        values[key] = _parse_setting(key, value.strip())
     return values
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="config file (flags override it)")
-    parser.add_argument("--objective", choices=objective_names())
-    parser.add_argument("--dim", type=int, help="search-space dimension (default 2)")
-    parser.add_argument("--iters", type=int, help="iterations per trial (default 100)")
-    parser.add_argument("--d0", type=float, help="initial antenna length (default 2)")
-    parser.add_argument("--delta0", type=float, help="initial step size (default 0.5)")
-    parser.add_argument("--eta-d", type=float, help="antenna decay rate (default 0.95)")
-    parser.add_argument("--offset-d", type=float, help="antenna decay offset (default 0.01)")
-    parser.add_argument("--eta-delta", type=float, help="step decay rate (default 0.95)")
-    parser.add_argument("--trials", type=int, help="independent runs (default 1)")
-    parser.add_argument("--seed", type=int, help="campaign master seed (default 0)")
-    parser.add_argument("--init-box", metavar="LO:HI[,LO:HI...]",
-                        help="start box override; default is the objective's box")
-    parser.add_argument("--clamp", action=argparse.BooleanOptionalAction, default=None,
-                        help="clamp moves to the init box (off by default)")
-    parser.add_argument("--target", type=float, help="stop once best value reaches this")
-    parser.add_argument("--stall", type=int,
-                        help="stop after this many iterations without improvement")
-    parser.add_argument("--out-dir", help="output directory (default .)")
-    parser.add_argument("--traj", choices=_TRAJ_MODES,
-                        help="which trials get a trajectory CSV (default first)")
+    for name, setting in _SETTINGS.items():
+        text = setting.metadata["help"]
+        if setting.default is not None:
+            text += f" (default {setting.default})"
+        parser.add_argument("--" + name.replace("_", "-"), help=text,
+                            **setting.metadata["flag"])
 
 
-def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+@contextmanager
+def _naming(fallback: Optional[str] = None, **settings):
+    """Re-raise a core ``ValueError`` as a ``ConfigError`` naming the setting.
+
+    A core message begins with the name of the parameter at fault; when
+    ``settings`` maps that name to a setting, the setting replaces it,
+    otherwise ``fallback`` goes in front of the whole message.
+    """
+    try:
+        yield
+    except ValueError as err:
+        param, _, rest = str(err).partition(" ")
+        if param in settings:
+            raise ConfigError(f"{settings[param].replace('_', '-')}: {rest}") from None
+        if fallback is None:
+            raise
+        raise ConfigError(f"{fallback}: {err}") from None
+
+
+def _validate(cfg: ExperimentConfig) -> BasConfig:
+    """The search config of ``cfg``, built after the checks that only the
+    campaign can make; ``BasConfig`` and ``ScheduleSpec`` check the rest."""
     if cfg.objective is None:
         raise ConfigError("objective: required (one of "
                           f"{', '.join(objective_names())})")
-    if cfg.dim < 1:
-        raise ConfigError(f"dim: must be >= 1, got {cfg.dim}")
-    try:
+    with _naming("objective/dim", dimension="dim"):
         objective = lookup_objective(cfg.objective, cfg.dim)
-    except ValueError as err:
-        raise ConfigError(f"objective/dim: {err}") from None
-    if not cfg.d0 > 0:
-        raise ConfigError(f"d0: must be > 0, got {cfg.d0}")
-    if not cfg.delta0 > 0:
-        raise ConfigError(f"delta0: must be > 0, got {cfg.delta0}")
-    if cfg.iters < 1:
-        raise ConfigError(f"iters: must be >= 1, got {cfg.iters}")
-    if not 0.0 < cfg.eta_d <= 1.0:
-        raise ConfigError(f"eta-d: must be in (0, 1], got {cfg.eta_d}")
-    if cfg.offset_d < 0.0:
-        raise ConfigError(f"offset-d: must be >= 0, got {cfg.offset_d}")
-    if not 0.0 < cfg.eta_delta <= 1.0:
-        raise ConfigError(f"eta-delta: must be in (0, 1], got {cfg.eta_delta}")
     if cfg.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {cfg.trials}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
-    if cfg.init_box is not None and len(cfg.init_box) not in (1, cfg.dim):
+    init_box = objective.init_box if cfg.init_box is None else cfg.init_box
+    if len(init_box) not in (1, cfg.dim):
         raise ConfigError(
-            f"init-box: needs 1 or {cfg.dim} lo:hi pairs, got {len(cfg.init_box)}")
-    if cfg.target is not None and not np.isfinite(cfg.target):
-        raise ConfigError(f"target: must be finite, got {cfg.target}")
-    if cfg.stall is not None and cfg.stall < 1:
-        raise ConfigError(f"stall: must be >= 1, got {cfg.stall}")
+            f"init-box: needs 1 or {cfg.dim} lo:hi pairs, got {len(init_box)}")
+    if len(init_box) == 1:
+        init_box = init_box * cfg.dim
     if cfg.traj not in _TRAJ_MODES:
         raise ConfigError(f"traj: must be one of {_TRAJ_MODES}, got {cfg.traj!r}")
-    del objective
-    return cfg
+    with _naming(rate="eta_d", offset="offset_d"):
+        d_schedule = ScheduleSpec(cfg.eta_d, cfg.offset_d)
+    with _naming(rate="eta_delta"):
+        delta_schedule = ScheduleSpec(cfg.eta_delta)
+    with _naming(dimension="dim", d0="d0", delta0="delta0", max_iters="iters", seed="seed",
+                 init_box="init_box", target_value="target", stall_iters="stall"):
+        return BasConfig(
+            dimension=cfg.dim,
+            d0=cfg.d0,
+            delta0=cfg.delta0,
+            d_schedule=d_schedule,
+            delta_schedule=delta_schedule,
+            max_iters=cfg.iters,
+            seed=cfg.seed,
+            init_box=init_box,
+            clamp_box=init_box if cfg.clamp else None,
+            target_value=cfg.target,
+            stall_iters=cfg.stall,
+        )
 
 
 def _merge_run_args(run_args: dict, config_file=None) -> ExperimentConfig:
-    values = dict(_DEFAULTS)
+    """Flags over config file over defaults. Flag values are text, except the
+    bool that ``--clamp``/``--no-clamp`` give."""
     path = run_args.pop("config", None) or config_file
-    if path is not None:
-        file_values = read_config_file(path)
-        unknown = set(file_values) - set(values)
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        values.update(file_values)
-    for key, flag_value in run_args.items():
-        if flag_value is not None:
-            values[key] = flag_value
-    if isinstance(values["init_box"], str):
-        values["init_box"] = parse_box_spec(values["init_box"])
-    return _validate(ExperimentConfig(**values))
+    values = {} if path is None else read_config_file(path)
+    for name, value in run_args.items():
+        if value is not None:
+            values[name] = _parse_setting(name, value) if isinstance(value, str) else value
+    return ExperimentConfig(**values)
 
 
 def parse_config(argv: Sequence[str], config_file=None) -> ExperimentConfig:
@@ -254,15 +254,7 @@ def parse_config(argv: Sequence[str], config_file=None) -> ExperimentConfig:
     return _merge_run_args(args, config_file=config_file)
 
 
-def _resolved_init_box(cfg: ExperimentConfig, objective) -> tuple:
-    if cfg.init_box is None:
-        return objective.init_box
-    if len(cfg.init_box) == 1 and cfg.dim > 1:
-        return cfg.init_box * cfg.dim
-    return cfg.init_box
-
-
-def config_echo(cfg: ExperimentConfig, init_box) -> dict:
+def config_echo(cfg: ExperimentConfig) -> dict:
     """Flat, file-key echo of the fully resolved campaign configuration.
 
     Written into the summary so the campaign can be reproduced bit-exactly
@@ -270,40 +262,9 @@ def config_echo(cfg: ExperimentConfig, init_box) -> dict:
     Where the artifacts land (out_dir) is not part of the echo: two
     campaigns that differ only in destination produce identical summaries.
     """
-    return {
-        "objective": cfg.objective,
-        "dim": cfg.dim,
-        "iters": cfg.iters,
-        "d0": cfg.d0,
-        "delta0": cfg.delta0,
-        "eta_d": cfg.eta_d,
-        "offset_d": cfg.offset_d,
-        "eta_delta": cfg.eta_delta,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "init_box": format_box_spec(init_box),
-        "clamp": cfg.clamp,
-        "target": cfg.target,
-        "stall": cfg.stall,
-        "traj": cfg.traj,
-    }
-
-
-def _bas_config(cfg: ExperimentConfig, init_box) -> BasConfig:
-    """Search config shared by every trial; each trial runs with its own seed."""
-    return BasConfig(
-        dimension=cfg.dim,
-        d0=cfg.d0,
-        delta0=cfg.delta0,
-        d_schedule=ScheduleSpec(GEOMETRIC_OFFSET, rate=cfg.eta_d, offset=cfg.offset_d),
-        delta_schedule=ScheduleSpec(GEOMETRIC, rate=cfg.eta_delta),
-        max_iters=cfg.iters,
-        seed=cfg.seed,
-        init_box=init_box,
-        clamp_box=init_box if cfg.clamp else None,
-        target_value=cfg.target,
-        stall_iters=cfg.stall,
-    )
+    echo = {name: getattr(cfg, name) for name in _SETTINGS if name != "out_dir"}
+    echo["init_box"] = format_box_spec(cfg.search.init_box)
+    return echo
 
 
 def emit_trajectory(result: RunResult, path, schedule_text: Optional[dict] = None) -> None:
@@ -371,7 +332,6 @@ def emit_summary(summary: CampaignSummary, path) -> None:
 def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     """Run ``trials`` independent seeded searches and write the artifacts."""
     objective = lookup_objective(cfg.objective, cfg.dim)
-    init_box = _resolved_init_box(cfg, objective)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -381,8 +341,8 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     schedule_text = {}  # shared by the trajectories: every trial has one schedule
     trials = []
     try:
-        for i, result in enumerate(run_trials(_bas_config(cfg, init_box), objective,
-                                              seeds, record=written)):
+        for i, result in enumerate(run_trials(cfg.search, objective, seeds,
+                                              record=written)):
             trials.append(TrialResult(trial=i, seed=seeds[i], f_bst=result.f_bst,
                                       x_bst=result.x_bst, evals=result.evals,
                                       termination=result.termination))
@@ -394,7 +354,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
 
     f_values = np.array([t.f_bst for t in trials])
     summary = CampaignSummary(
-        config=config_echo(cfg, init_box),
+        config=config_echo(cfg),
         trials=tuple(trials),
         best=float(f_values.min()),
         median=float(np.median(f_values)),

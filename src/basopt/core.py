@@ -32,12 +32,6 @@ import numpy as np
 Array = np.ndarray
 ObjectiveFn = Callable[[Array], float]
 
-# Schedule kinds.
-GEOMETRIC_OFFSET = "geometric_offset"  # v <- rate * v + offset
-GEOMETRIC = "geometric"                # v <- rate * v
-CONSTANT = "constant"                  # v unchanged
-_SCHEDULE_KINDS = (GEOMETRIC_OFFSET, GEOMETRIC, CONSTANT)
-
 # Termination reasons reported in RunResult.
 TERM_MAX_ITERS = "max_iters"
 TERM_TARGET = "target_reached"
@@ -71,52 +65,43 @@ class ObjectiveError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """Decay rule applied once per iteration to a search parameter.
+    """Decay rule ``v <- rate*v + offset`` applied once per iteration to a
+    search parameter.
 
-    kind            update                    long-run behaviour
-    geometric_offset  v <- rate*v + offset    fixed point offset / (1 - rate)
-    geometric         v <- rate*v             decays to 0 (rate < 1)
-    constant          v <- v                  unchanged
+    With ``rate < 1`` the value tends to the fixed point ``offset / (1 - rate)``,
+    so ``offset = 0`` is a plain geometric decay to 0; ``rate = 1`` with
+    ``offset = 0`` holds the value constant.
     """
 
-    kind: str
     rate: float = 0.95
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _SCHEDULE_KINDS:
-            raise ValueError(
-                f"unknown schedule kind {self.kind!r}; expected one of {_SCHEDULE_KINDS}")
         if not 0.0 < self.rate <= 1.0:
-            raise ValueError(f"schedule rate must be in (0, 1], got {self.rate}")
-        if self.offset < 0.0:
-            raise ValueError(f"schedule offset must be >= 0, got {self.offset}")
-        if self.kind != GEOMETRIC_OFFSET and self.offset != 0.0:
-            raise ValueError(f"offset is only meaningful for {GEOMETRIC_OFFSET!r}")
+            raise ValueError(f"rate must be in (0, 1], got {self.rate}")
+        if not self.offset >= 0.0:
+            raise ValueError(f"offset must be >= 0, got {self.offset}")
 
     def fixed_point(self) -> Optional[float]:
         """Limit of repeated application, when one exists."""
-        if self.kind == GEOMETRIC_OFFSET and self.rate < 1.0:
-            return self.offset / (1.0 - self.rate)
-        if self.kind == GEOMETRIC and self.rate < 1.0:
-            return 0.0
-        return None
+        return self.offset / (1.0 - self.rate) if self.rate < 1.0 else None
 
 
 # Benchmark defaults: d decays toward 0.01/(1-0.95) = 0.2, delta decays to 0.
-DEFAULT_D_SCHEDULE = ScheduleSpec(GEOMETRIC_OFFSET, rate=0.95, offset=0.01)
-DEFAULT_DELTA_SCHEDULE = ScheduleSpec(GEOMETRIC, rate=0.95)
+DEFAULT_D_SCHEDULE = ScheduleSpec(rate=0.95, offset=0.01)
+DEFAULT_DELTA_SCHEDULE = ScheduleSpec(rate=0.95)
 
 
 def advance_schedule(value: float, spec: ScheduleSpec) -> float:
-    """Apply one step of the decay rule to ``value``."""
+    """Apply one step of the decay rule to ``value``.
+
+    As ``rate > 0``, ``rate*value`` is -0.0 only for ``value = -0.0``; any
+    other product is unchanged by adding a zero offset, so ``offset = 0`` is
+    ``rate*value`` bit for bit.
+    """
     if value < 0.0:
         raise ValueError(f"schedule value must be >= 0, got {value}")
-    if spec.kind == GEOMETRIC_OFFSET:
-        return spec.rate * value + spec.offset
-    if spec.kind == GEOMETRIC:
-        return spec.rate * value
-    return value
+    return spec.rate * value + spec.offset
 
 
 def _as_point(value, dimension: int, name: str) -> tuple:
@@ -191,6 +176,8 @@ class BasConfig:
             object.__setattr__(self, "clamp_box", _as_box(self.clamp_box, self.dimension, "clamp_box"))
         if self.stall_iters is not None and self.stall_iters < 1:
             raise ValueError(f"stall_iters must be >= 1, got {self.stall_iters}")
+        if self.target_value is not None and not np.isfinite(self.target_value):
+            raise ValueError(f"target_value must be finite, got {self.target_value}")
 
 
 @dataclass

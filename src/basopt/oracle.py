@@ -36,6 +36,11 @@ class GridSpec:
         if self.n_nodes > self.max_nodes:
             raise ValueError(
                 f"grid of {self.n_nodes} nodes exceeds the cap of {self.max_nodes}")
+        width = np.diff(np.asarray(self.box), axis=1)
+        with np.errstate(over="ignore"):
+            overflows = not np.all(np.isfinite((self.resolution - 1) * width))
+        if overflows:
+            raise ValueError("box (resolution - 1) * (hi - lo) overflows on some axis")
 
     @property
     def dimension(self) -> int:
@@ -54,6 +59,17 @@ def _axis(lo: float, hi: float, resolution: int) -> Array:
     return nodes
 
 
+def _finite_argmin(values: Array) -> tuple[int, float]:
+    """Index and value of the first smallest finite entry of ``values``, or
+    ``(0, inf)`` when none is finite. A non-finite value is an overflow in the
+    objective, never a minimum, and a NaN would hide the rest from argmin."""
+    i = int(np.argmin(values))
+    if not np.isfinite(values[i]):
+        values = np.where(np.isfinite(values), values, np.inf)
+        i = int(np.argmin(values))
+    return i, float(values[i])
+
+
 def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
     """Minimize over every lattice node; ties go to the lexicographically
     smallest coordinates."""
@@ -69,15 +85,17 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
     best_flat = -1
     # Enumerate nodes in C order = lexicographic coordinate order, so the
     # first occurrence of the minimum is the lexicographic tie-winner.
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total))
-        multi = np.unravel_index(flat, shape)
-        points = np.stack([axes[j][multi[j]] for j in range(grid.dimension)], axis=-1)
-        values = objective.batch(points)
-        i = int(np.argmin(values))
-        if values[i] < best_value:
-            best_value = float(values[i])
-            best_flat = int(flat[i])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, total, _CHUNK):
+            flat = np.arange(start, min(start + _CHUNK, total))
+            multi = np.unravel_index(flat, shape)
+            points = np.stack([axes[j][multi[j]] for j in range(grid.dimension)], axis=-1)
+            i, value = _finite_argmin(objective.batch(points))
+            if value < best_value:
+                best_value = value
+                best_flat = int(flat[i])
+    if best_flat < 0:
+        raise ValueError("objective is not finite at any grid node")
 
     multi = np.unravel_index(best_flat, shape)
     best_point = np.array([axes[j][multi[j]] for j in range(grid.dimension)])
@@ -93,12 +111,14 @@ def random_search_baseline(objective: Objective, box, n_evals: int,
         raise ValueError(f"n_evals must be >= 1, got {n_evals}")
     best_value = np.inf
     best_point = None
-    for start in range(0, n_evals, _CHUNK):
-        count = min(_CHUNK, n_evals - start)
-        points = rng.uniform(box[:, 0], box[:, 1], size=(count, objective.dimension))
-        values = objective.batch(points)
-        i = int(np.argmin(values))
-        if values[i] < best_value:
-            best_value = float(values[i])
-            best_point = points[i].copy()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, n_evals, _CHUNK):
+            count = min(_CHUNK, n_evals - start)
+            points = rng.uniform(box[:, 0], box[:, 1], size=(count, objective.dimension))
+            i, value = _finite_argmin(objective.batch(points))
+            if value < best_value:
+                best_value = value
+                best_point = points[i].copy()
+    if best_point is None:
+        raise ValueError("objective is not finite at any sample")
     return best_point, best_value

@@ -10,12 +10,11 @@ import numpy as np
 from basopt import (
     BasConfig,
     DEFAULT_D_SCHEDULE,
-    advance_schedule,
     derive_trial_seed,
     lookup_objective,
     run,
-    sample_direction,
 )
+from basopt.core import advance_schedule, sample_direction
 from basopt.cli import parse_config, run_campaign
 from basopt.objectives import goldstein_price, michalewicz
 from basopt.oracle import GridSpec, grid_search, random_search_baseline

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from basopt.cli import (
     CampaignError,
     ConfigError,
     ExperimentConfig,
+    config_echo,
     emit_trajectory,
     format_box_spec,
     main,
@@ -36,6 +38,15 @@ def _cfg(tmp_path, **overrides):
     for key, value in overrides.items():
         tokens += [f"--{key.replace('_', '-')}", str(value)]
     return parse_config(tokens)
+
+
+def _run_module(argv, cwd):
+    """``python -m basopt.cli`` with this checkout's package and numpy's
+    default warning filters."""
+    env = dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "basopt.cli"] + argv, cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +168,90 @@ def test_config_file_rejects_malformed_line(tmp_path):
         (["--objective", "goldstein_price", "--dim", "3"], "objective/dim:"),
         (["--objective", "michalewicz", "--dim", "3", "--init-box", "0:1,0:1"],
          "init-box:"),
+        (["--objective", "michalewicz", "--eta-delta", "0"], "eta-delta:"),
+        (["--objective", "michalewicz", "--target", "nan"], "target:"),
+        (["--objective", "michalewicz", "--config", "traj = sometimes\n"], "traj:"),
     ],
 )
-def test_validation_errors_name_the_field(tokens, field):
+def test_validation_errors_name_the_field(tmp_path, tokens, field):
+    if "--config" in tokens:  # the token after it is the file's text
+        i = tokens.index("--config") + 1
+        path = tmp_path / "exp.cfg"
+        path.write_text(tokens[i])
+        tokens = tokens[:i] + [str(path)] + tokens[i + 1:]
     cfg_error = pytest.raises(ConfigError)
     with cfg_error as exc:
         parse_config(tokens)
     assert str(exc.value).startswith(field)
+
+
+_SETTINGS = [f.name for f in fields(ExperimentConfig) if f.init]
+# A value other than the default for every setting, as config-file text.
+_OTHER_VALUE = {
+    "objective": "sphere", "dim": "3", "iters": "7", "d0": "1.5", "delta0": "0.25",
+    "eta_d": "0.9", "offset_d": "0.02", "eta_delta": "0.8", "trials": "2", "seed": "5",
+    "init_box": "-2:2", "clamp": "true", "target": "-1.0", "stall": "4",
+    "out_dir": "elsewhere", "traj": "none",
+}
+
+
+@pytest.mark.parametrize("name", _SETTINGS)
+def test_flag_file_key_and_echo_agree(tmp_path, name):
+    text = _OTHER_VALUE[name]
+    flag = "--" + name.replace("_", "-") + ("" if name == "clamp" else f"={text}")
+    by_flag = parse_config(["--objective", "sphere", flag])
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"objective = sphere\n{name} = {text}\n")
+    by_file = parse_config([], config_file=path)
+    value = getattr(by_file, name)
+    assert value == getattr(by_flag, name)
+    assert value != getattr(ExperimentConfig(objective="michalewicz"), name)
+    echo = config_echo(by_file)
+    if name == "out_dir":
+        assert name not in echo
+    elif name == "init_box":
+        assert echo[name] == "-2.0:2.0,-2.0:2.0"  # resolved to every axis
+    else:
+        assert echo[name] == value
+
+
+def _huge_dim(line) -> bool:
+    # parsing builds the default init box, one pair per axis, so a huge dim
+    # would allocate gigabytes
+    key, _, text = line
+    try:
+        return key == "dim" and int(text) > 64
+    except ValueError:
+        return False
+
+
+_ERROR_PREFIXES = {name.replace("_", "-") for name in _SETTINGS} | {"objective/dim"}
+_PLAUSIBLE = st.sampled_from([
+    "", "sphere", "michalewicz", "goldstein_price", "0", "1", "2", "3", "-1", "100",
+    "0.5", "0.95", "1.0", "1.5", "-0.1", "1e308", "nan", "inf", "-inf", "true", "off",
+    "all", "first", "none", "-1:1", "0:1,0:1", "2:1", "a:b", "nan:1", "-inf:0",
+    "1e200:1e201", "-1e308:1e308"])
+_ONE_LINE = st.text().map(lambda text: " ".join(text.splitlines()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(objective=st.sampled_from([None, "sphere", "michalewicz", "goldstein_price"]),
+       lines=st.lists(st.tuples(st.sampled_from(_SETTINGS), st.booleans(),
+                                _PLAUSIBLE | _ONE_LINE).filter(lambda line: not _huge_dim(line)),
+                      max_size=6))
+def test_config_file_fuzz_gives_a_config_or_names_a_setting(objective, lines):
+    text = "" if objective is None else f"objective = {objective}\n"
+    for key, dashed, value in lines:
+        text += f"{key.replace('_', '-') if dashed else key} = {value}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(text)
+        try:
+            cfg = parse_config([], config_file=path)
+        except ConfigError as err:
+            assert str(err).split(":", 1)[0] in _ERROR_PREFIXES, str(err)
+        else:
+            assert isinstance(cfg.search, BasConfig)
 
 
 def test_unknown_flag_exits():
@@ -393,19 +481,15 @@ def test_main_failed_campaign_exits_2(tmp_path, capsys):
 def test_failed_campaign_prints_only_the_error_line(tmp_path):
     """Overflow inside the objective is reported once, as the error, with no
     numpy RuntimeWarning lines before it."""
-    env = dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1]))
-    env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "basopt.cli", "run", "--objective", "goldstein_price",
-         "--init-box=-1e100:1e100", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_module(["run", "--objective", "goldstein_price",
+                        "--init-box=-1e100:1e100", "--out-dir", str(tmp_path)], tmp_path)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: trial 0: ")
 
 
 @pytest.mark.parametrize("argv,field", [
-    (["run", "--objective", "sphere", "--init-box=-1e308:1e308"], "init_box"),
+    (["run", "--objective", "sphere", "--init-box=-1e308:1e308"], "init-box:"),
     (["oracle", "random", "--objective", "sphere", "--evals", "10",
       "--box=-1e308:1e308"], "box"),
     (["oracle", "grid", "--objective", "sphere", "--resolution", "10",
@@ -414,12 +498,35 @@ def test_failed_campaign_prints_only_the_error_line(tmp_path):
 def test_box_whose_width_overflows_is_one_error_line(tmp_path, argv, field):
     """hi - lo = 2e308 is not a double; the box is refused before any numpy
     call, with no traceback or RuntimeWarning lines."""
-    env = dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1]))
-    env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run([sys.executable, "-m", "basopt.cli"] + argv, cwd=tmp_path,
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_module(argv, tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {field} width hi - lo overflows on some axis"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["grid", "--resolution", "10", "--box=-8e307:8e307"],
+     "box (resolution - 1) * (hi - lo) overflows on some axis"),
+    (["grid", "--resolution", "10", "--box=1e200:1e201"],
+     "objective is not finite at any grid node"),
+    (["random", "--evals", "10", "--box=1e200:1e201"],
+     "objective is not finite at any sample"),
+], ids=["grid-nodes-overflow", "grid-no-finite-value", "random-no-finite-value"])
+def test_oracle_box_without_a_finite_value_is_one_error_line(tmp_path, argv, error):
+    """Nodes that overflow, or a sphere that overflows at every point, are
+    refused with one line, no traceback and no RuntimeWarning lines."""
+    proc = _run_module(["oracle", argv[0], "--objective", "sphere"] + argv[1:], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {error}"]
+
+
+def test_invalid_config_creates_no_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "X"
+    code = main(["run", "--objective", "sphere", "--init-box=-1e308:1e308",
+                 "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: init-box: width hi - lo overflows on some axis\n")
+    assert not out_dir.exists()
 
 
 def test_failed_campaign_names_the_lowest_failing_trial(tmp_path):

@@ -5,21 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basopt import (
-    BasConfig,
-    ObjectiveError,
-    ScheduleSpec,
+from basopt import BasConfig, ObjectiveError, ScheduleSpec, derive_trial_seed, run
+from basopt.core import (
     SearchState,
-    GEOMETRIC,
-    GEOMETRIC_OFFSET,
-    CONSTANT,
     advance_schedule,
     antenna_probe,
     bas_iterate,
-    derive_trial_seed,
     detect_step,
     init_position,
-    run,
     sample_direction,
 )
 from basopt.objectives import sphere
@@ -149,23 +142,26 @@ def test_step_never_ascends_on_linear_function(c, x, d, delta, right):
 # schedules
 
 def test_schedule_examples():
-    assert advance_schedule(2.0, ScheduleSpec(GEOMETRIC_OFFSET, 0.95, 0.01)) == 1.91
-    assert advance_schedule(0.5, ScheduleSpec(GEOMETRIC, 0.95)) == 0.475
-    assert advance_schedule(0.7, ScheduleSpec(CONSTANT, 1.0)) == 0.7
+    assert advance_schedule(2.0, ScheduleSpec(0.95, 0.01)) == 1.91
+    assert advance_schedule(0.5, ScheduleSpec(0.95)) == 0.475
+    assert advance_schedule(0.7, ScheduleSpec(1.0)) == 0.7
 
 
 def test_schedule_offset_fixed_point():
-    spec = ScheduleSpec(GEOMETRIC_OFFSET, 0.95, 0.01)
+    spec = ScheduleSpec(0.95, 0.01)
     assert spec.fixed_point() == pytest.approx(0.2)
     for start in (2.0, 0.0, 17.0):
         v = start
         for _ in range(400):
             v = advance_schedule(v, spec)
         assert abs(v - 0.2) <= 1e-6
+    assert ScheduleSpec(0.95).fixed_point() == 0.0
+    assert ScheduleSpec(1.0).fixed_point() is None
+    assert ScheduleSpec(1.0, 0.5).fixed_point() is None
 
 
 def test_schedule_geometric_strictly_decreasing_and_positive():
-    spec = ScheduleSpec(GEOMETRIC, 0.95)
+    spec = ScheduleSpec(0.95)
     v = 0.5
     for _ in range(500):
         nxt = advance_schedule(v, spec)
@@ -173,19 +169,38 @@ def test_schedule_geometric_strictly_decreasing_and_positive():
         v = nxt
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    v=st.floats(min_value=0.0, allow_nan=False)
+    | st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]),
+    r=st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    | st.sampled_from([5e-324, 0.5, 0.95, 1.0]),
+)
+def test_schedule_without_offset_is_the_bare_product(v, r):
+    # rate*v + 0.0 is rate*v bit for bit, and rate 1 is the identity,
+    # at zero, subnormals and huge values alike (v = inf included)
+    assert advance_schedule(v, ScheduleSpec(r)).hex() == (r * v).hex()
+    assert advance_schedule(v, ScheduleSpec(1.0)).hex() == v.hex()
+
+
 def test_schedule_validation():
+    with pytest.raises(ValueError, match="^rate must be in"):
+        ScheduleSpec(rate=0.0)
+    with pytest.raises(ValueError, match="^rate must be in"):
+        ScheduleSpec(rate=1.2)
+    with pytest.raises(ValueError, match="^rate must be in"):
+        ScheduleSpec(rate=-0.5, offset=0.1)
+    with pytest.raises(ValueError, match="^rate must be in"):
+        ScheduleSpec(rate=float("nan"))
+    with pytest.raises(ValueError, match="^offset must be >= 0"):
+        ScheduleSpec(rate=0.9, offset=-0.1)
+    with pytest.raises(ValueError, match="^offset must be >= 0"):
+        ScheduleSpec(rate=1.0, offset=float("nan"))
     with pytest.raises(ValueError):
-        ScheduleSpec("exponential")
-    with pytest.raises(ValueError):
-        ScheduleSpec(GEOMETRIC, rate=0.0)
-    with pytest.raises(ValueError):
-        ScheduleSpec(GEOMETRIC, rate=1.2)
-    with pytest.raises(ValueError):
-        ScheduleSpec(GEOMETRIC_OFFSET, rate=0.9, offset=-0.1)
-    with pytest.raises(ValueError):
-        ScheduleSpec(GEOMETRIC, rate=0.9, offset=0.5)  # offset needs the offset kind
-    with pytest.raises(ValueError):
-        advance_schedule(-1.0, ScheduleSpec(GEOMETRIC, 0.95))
+        advance_schedule(-1.0, ScheduleSpec(0.95))
+    # the edges of the ranges are valid
+    assert ScheduleSpec(rate=1.0, offset=0.0) == ScheduleSpec(1.0)
+    assert ScheduleSpec(rate=5e-324, offset=1e308).offset == 1e308
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +249,9 @@ def test_config_validation():
         BasConfig(dimension=2, x0=(0.0, 0.0), clamp_box=((0, 1), (-1e308, 1e308)))
     with pytest.raises(ValueError):
         BasConfig(dimension=1, x0=(0.0,), stall_iters=0)
+    for target in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^target_value must be finite"):
+            BasConfig(dimension=1, x0=(0.0,), target_value=target)
 
 
 # ---------------------------------------------------------------------------

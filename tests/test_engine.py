@@ -13,17 +13,14 @@ from basopt import (
     IterationRecord,
     ObjectiveError,
     RunResult,
-    SearchState,
     TERM_MAX_ITERS,
     TERM_STALLED,
     TERM_TARGET,
-    bas_iterate,
-    init_position,
     lookup_objective,
     run,
-    sample_direction,
 )
-from basopt.core import run_trials, sample_directions
+from basopt.core import (SearchState, bas_iterate, init_position, run_trials,
+                         sample_direction, sample_directions)
 from basopt.objectives import michalewicz
 
 

@@ -39,6 +39,10 @@ def test_gridspec_validation():
         GridSpec(box=((1.0, 0.0),), resolution=10)
     with pytest.raises(ValueError):
         GridSpec(box=(), resolution=10)
+    # the width 1.6e308 is a double, but nine widths are not
+    with pytest.raises(ValueError, match=r"box \(resolution - 1\) \* \(hi - lo\) overflows"):
+        GridSpec(box=((-8e307, 8e307),), resolution=10)
+    assert GridSpec(box=((-8e307, 8e307),), resolution=2).n_nodes == 2
 
 
 def test_gridspec_node_cap_enforced_at_construction():
@@ -129,6 +133,32 @@ def test_grid_michalewicz_close_to_known_minimum():
     obj = lookup_objective("michalewicz", 2)
     _, value = grid_search(obj, GridSpec(box=obj.init_box, resolution=1000))
     assert abs(value - obj.known_optimum[1]) <= 1e-3
+
+
+def _gappy_sphere():
+    """Sphere on [0, 1]^2 that is NaN left of x_0 = 0.5 and -inf at x_0 = 1."""
+    def fn(x):
+        value = np.sum(x * x, axis=-1)
+        value = np.where(x[..., 0] < 0.5, np.nan, value)
+        return np.where(x[..., 0] == 1.0, -np.inf, value)
+    return Objective(name="gappy", dimension=2, fn=fn, init_box=((0.0, 1.0), (0.0, 1.0)))
+
+
+def test_non_finite_values_are_never_the_minimum():
+    obj = _gappy_sphere()
+    point, value = grid_search(obj, GridSpec(box=obj.init_box, resolution=11))
+    assert np.array_equal(point, [0.5, 0.0]) and value == 0.25
+    point, value = random_search_baseline(obj, obj.init_box, 1000, np.random.default_rng(0))
+    assert 0.5 <= point[0] < 1.0 and value == np.sum(point * point)
+
+
+def test_no_finite_value_is_an_error():
+    obj = lookup_objective("sphere", 2)
+    box = ((1e200, 1e201),) * 2  # every square overflows
+    with pytest.raises(ValueError, match="not finite at any grid node"):
+        grid_search(obj, GridSpec(box=box, resolution=10))
+    with pytest.raises(ValueError, match="not finite at any sample"):
+        random_search_baseline(obj, box, 10, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
