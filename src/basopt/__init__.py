@@ -6,7 +6,6 @@ its steps) live in ``basopt.core``.
 
 from .core import (
     BasConfig,
-    IterationRecord,
     ObjectiveError,
     RunResult,
     ScheduleSpec,
@@ -36,7 +35,6 @@ __all__ = [
     "DEFAULT_D_SCHEDULE",
     "DEFAULT_DELTA_SCHEDULE",
     "GridSpec",
-    "IterationRecord",
     "Objective",
     "ObjectiveError",
     "RunResult",

@@ -195,22 +195,28 @@ def _naming(fallback: Optional[str] = None, **settings):
         raise ConfigError(f"{fallback}: {err}") from None
 
 
+def _objective_and_box(name: str, dim: int, box: Optional[tuple], setting: str):
+    """The objective ``name`` in ``dim`` dimensions and the box to search it
+    in: ``box``, one pair per axis or a single pair for every axis, or by
+    default the objective's own box. Errors name ``setting`` for the box."""
+    with _naming("objective/dim", dimension="dim"):
+        objective = lookup_objective(name, dim)
+    if box is None:
+        return objective, objective.init_box
+    if len(box) not in (1, dim):
+        raise ConfigError(f"{setting}: needs 1 or {dim} lo:hi pairs, got {len(box)}")
+    return objective, box * dim if len(box) == 1 else box
+
+
 def _validate(cfg: ExperimentConfig) -> BasConfig:
     """The search config of ``cfg``, built after the checks that only the
     campaign can make; ``BasConfig`` and ``ScheduleSpec`` check the rest."""
     if cfg.objective is None:
         raise ConfigError("objective: required (one of "
                           f"{', '.join(objective_names())})")
-    with _naming("objective/dim", dimension="dim"):
-        objective = lookup_objective(cfg.objective, cfg.dim)
+    _, init_box = _objective_and_box(cfg.objective, cfg.dim, cfg.init_box, "init-box")
     if cfg.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {cfg.trials}")
-    init_box = objective.init_box if cfg.init_box is None else cfg.init_box
-    if len(init_box) not in (1, cfg.dim):
-        raise ConfigError(
-            f"init-box: needs 1 or {cfg.dim} lo:hi pairs, got {len(init_box)}")
-    if len(init_box) == 1:
-        init_box = init_box * cfg.dim
     if cfg.traj not in _TRAJ_MODES:
         raise ConfigError(f"traj: must be one of {_TRAJ_MODES}, got {cfg.traj!r}")
     with _naming(rate="eta_d", offset="offset_d"):
@@ -234,24 +240,21 @@ def _validate(cfg: ExperimentConfig) -> BasConfig:
         )
 
 
-def _merge_run_args(run_args: dict, config_file=None) -> ExperimentConfig:
-    """Flags over config file over defaults. Flag values are text, except the
-    bool that ``--clamp``/``--no-clamp`` give."""
-    path = run_args.pop("config", None) or config_file
-    values = {} if path is None else read_config_file(path)
-    for name, value in run_args.items():
+def _merge_run_args(args: argparse.Namespace) -> ExperimentConfig:
+    """Flags over the ``--config`` file over defaults. Flag values are text,
+    except the bool that ``--clamp``/``--no-clamp`` give."""
+    values = read_config_file(args.config) if args.config else {}
+    for name in _SETTINGS:
+        value = getattr(args, name)
         if value is not None:
             values[name] = _parse_setting(name, value) if isinstance(value, str) else value
     return ExperimentConfig(**values)
 
 
-def parse_config(argv: Sequence[str], config_file=None) -> ExperimentConfig:
-    """Resolve an ExperimentConfig from run-command tokens plus an optional
-    config file; flags override file values override defaults."""
-    parser = argparse.ArgumentParser(prog="basopt run", add_help=False)
-    _add_run_flags(parser)
-    args = vars(parser.parse_args(list(argv)))
-    return _merge_run_args(args, config_file=config_file)
+def parse_config(argv: Sequence[str]) -> ExperimentConfig:
+    """Resolve an ExperimentConfig from ``basopt run`` tokens; flags override
+    the ``--config`` file, which overrides the defaults."""
+    return _merge_run_args(_build_parser().parse_args(["run", *argv]))
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
@@ -349,7 +352,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
             if i in written:
                 emit_trajectory(result, out_dir / f"traj_{i:03d}.csv", schedule_text)
     except ObjectiveError as err:
-        raise CampaignError(f"trial {err.trial}: {err}") from err
+        raise CampaignError(f"trial {err.trial} (seed {seeds[err.trial]}): {err}") from err
     duration = time.perf_counter() - started
 
     f_values = np.array([t.f_bst for t in trials])
@@ -378,40 +381,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oracle_p = sub.add_parser("oracle", help="brute-force reference searches")
     osub = oracle_p.add_subparsers(dest="oracle_command", required=True)
+    search_space = argparse.ArgumentParser(add_help=False)
+    search_space.add_argument("--objective", choices=objective_names(), required=True)
+    search_space.add_argument("--dim", type=int, default=2)
+    search_space.add_argument("--box", metavar="LO:HI[,LO:HI...]",
+                              help="default is the objective's box")
 
-    grid_p = osub.add_parser("grid", help="exhaustive lattice minimization")
-    grid_p.add_argument("--objective", choices=objective_names(), required=True)
-    grid_p.add_argument("--dim", type=int, default=2)
+    grid_p = osub.add_parser("grid", parents=[search_space],
+                             help="exhaustive lattice minimization")
     grid_p.add_argument("--resolution", type=int, required=True)
-    grid_p.add_argument("--box", metavar="LO:HI[,LO:HI...]",
-                        help="default is the objective's box")
     grid_p.add_argument("--max-nodes", type=int, default=10 ** 8)
 
-    rand_p = osub.add_parser("random", help="uniform random sampling baseline")
-    rand_p.add_argument("--objective", choices=objective_names(), required=True)
-    rand_p.add_argument("--dim", type=int, default=2)
+    rand_p = osub.add_parser("random", parents=[search_space],
+                             help="uniform random sampling baseline")
     rand_p.add_argument("--evals", type=int, required=True)
     rand_p.add_argument("--seed", type=int, default=0)
-    rand_p.add_argument("--box", metavar="LO:HI[,LO:HI...]",
-                        help="default is the objective's box")
     return parser
-
-
-def _oracle_box(args, objective) -> tuple:
-    if args.box is None:
-        return objective.init_box
-    box = parse_box_spec(args.box, "box")
-    if len(box) == 1 and objective.dimension > 1:
-        box = box * objective.dimension
-    return box
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            run_args = {k: v for k, v in vars(args).items() if k != "command"}
-            cfg = _merge_run_args(run_args)
+            cfg = _merge_run_args(args)
             summary = run_campaign(cfg)
             out_dir = Path(cfg.out_dir)
             print(f"campaign: objective={cfg.objective} dim={cfg.dim} "
@@ -422,29 +414,33 @@ def main(argv=None) -> int:
                   f"summary={out_dir / 'summary.json'}")
             return 0
         if args.command == "oracle":
-            objective = lookup_objective(args.objective, args.dim)
-            box = _oracle_box(args, objective)
-            if args.oracle_command == "grid":
-                grid = GridSpec(box=box, resolution=args.resolution,
-                                max_nodes=args.max_nodes)
-                started = time.perf_counter()
-                x, f = grid_search(objective, grid)
-                duration = time.perf_counter() - started
-                coords = ",".join(repr(v) for v in x.tolist())
-                print(f"grid: objective={objective.name} dim={objective.dimension} "
-                      f"resolution={args.resolution} nodes={grid.n_nodes}")
-                print(f"  best_f={f!r} best_x={coords} duration={duration:.3f}s")
-            else:
-                rng = np.random.default_rng(args.seed)
-                x, f = random_search_baseline(objective, box, args.evals, rng)
-                coords = ",".join(repr(v) for v in x.tolist())
-                print(f"random: objective={objective.name} dim={objective.dimension} "
-                      f"evals={args.evals} seed={args.seed}")
-                print(f"  best_f={f!r} best_x={coords}")
+            box = None if args.box is None else parse_box_spec(args.box, "box")
+            objective, box = _objective_and_box(args.objective, args.dim, box, "box")
+            space = f"objective={objective.name} dim={objective.dimension}"
+            duration = ""
+            with _naming(box="box", resolution="resolution", max_nodes="max_nodes",
+                         n_evals="evals"):
+                if args.oracle_command == "grid":
+                    grid = GridSpec(box=box, resolution=args.resolution,
+                                    max_nodes=args.max_nodes)
+                    started = time.perf_counter()
+                    x, f = grid_search(objective, grid)
+                    duration = f" duration={time.perf_counter() - started:.3f}s"
+                    print(f"grid: {space} resolution={args.resolution} nodes={grid.n_nodes}")
+                else:
+                    with _naming("seed"):
+                        rng = np.random.default_rng(args.seed)
+                    x, f = random_search_baseline(objective, box, args.evals, rng)
+                    print(f"random: {space} evals={args.evals} seed={args.seed}")
+            coords = ",".join(repr(v) for v in x.tolist())
+            print(f"  best_f={f!r} best_x={coords}{duration}")
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (ConfigError, ValueError, CampaignError) as err:
+    except (ValueError, CampaignError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print("error: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
         return 2
 
 

@@ -200,18 +200,6 @@ class SearchState:
     evals: int
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One trajectory row as a record; ``RunResult.records`` builds these."""
-
-    t: int
-    f_x: float
-    f_bst: float
-    d: float
-    delta: float
-    x: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """Outcome of one search.
@@ -228,13 +216,6 @@ class RunResult:
     f_bst: float
     evals: int
     termination: str
-
-    @property
-    def records(self) -> tuple:
-        """The trajectory as one ``IterationRecord`` per row, built on access."""
-        return tuple(IterationRecord(t=t, f_x=row[0], f_bst=row[1], d=row[2],
-                                     delta=row[3], x=tuple(row[4:]))
-                     for t, row in enumerate(self.trajectory.tolist(), 1))
 
     def __eq__(self, other):
         if not isinstance(other, RunResult):

@@ -99,14 +99,14 @@ def test_criterion_5_structural_properties():
     res = run(cfg, obj)
     assert run(cfg, obj) == res  # bit-identical replay
 
-    f_bsts = [r.f_bst for r in res.records]
+    f_bsts = res.trajectory[:, 1].tolist()
     assert all(b <= a for a, b in zip(f_bsts, f_bsts[1:]))  # monotone best
     assert obj(np.array(res.x_bst)) == res.f_bst            # exact re-evaluation
-    assert res.evals == 1 + 3 * len(res.records)            # eval accounting
+    assert res.evals == 1 + 3 * len(res.trajectory)         # eval accounting
 
     flat = run(BasConfig(dimension=2, x0=(1.0, 1.0), max_iters=50, seed=4),
                lambda x: 0.0)
-    assert all(r.x == (1.0, 1.0) for r in flat.records)     # tie means no move
+    assert all(x == [1.0, 1.0] for x in flat.trajectory[:, 4:].tolist())  # tie: no move
 
     d = 2.0
     for _ in range(400):
@@ -114,7 +114,7 @@ def test_criterion_5_structural_properties():
     assert abs(d - 0.2) <= 1e-6                             # schedule fixed point
 
     scaled = run(cfg, lambda x: 3.7 * michalewicz(x))
-    assert [r.x for r in scaled.records] == [r.x for r in res.records]
+    assert scaled.trajectory[:, 4:].tolist() == res.trajectory[:, 4:].tolist()
 
     print("criterion 5 structural properties: norms/determinism/monotone/"
           "accounting/no-move/fixed-point/scale-invariance all hold")

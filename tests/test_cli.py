@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -40,13 +41,14 @@ def _cfg(tmp_path, **overrides):
     return parse_config(tokens)
 
 
-def _run_module(argv, cwd):
-    """``python -m basopt.cli`` with this checkout's package and numpy's
-    default warning filters."""
-    env = dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1]))
+def _run_module(argv, cwd, **kwargs):
+    """``python -m basopt.cli`` with this checkout's package, numpy's default
+    warning filters and one BLAS thread; ``kwargs`` go to ``subprocess.run``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
     env.pop("PYTHONWARNINGS", None)
     return subprocess.run([sys.executable, "-m", "basopt.cli"] + argv, cwd=cwd,
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=60, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,7 @@ def test_config_file_overrides_defaults(tmp_path):
         "seed = 4\n"
         "init-box = -2:2\n"
         "clamp = true\n")
-    cfg = parse_config([], config_file=path)
+    cfg = parse_config(["--config", str(path)])
     assert cfg.objective == "goldstein_price"
     assert cfg.iters == 60 and cfg.seed == 4
     assert cfg.init_box == ((-2.0, 2.0),)
@@ -125,7 +127,7 @@ def test_config_file_overrides_defaults(tmp_path):
 def test_flags_beat_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("objective = michalewicz\niters = 60\nseed = 4\nclamp = true\n")
-    cfg = parse_config(["--iters", "75", "--no-clamp"], config_file=path)
+    cfg = parse_config(["--config", str(path), "--iters", "75", "--no-clamp"])
     assert cfg.iters == 75       # flag wins
     assert cfg.clamp is False    # flag wins
     assert cfg.seed == 4         # file wins over default
@@ -142,7 +144,7 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("objective = sphere\nbogus = 1\n")
     with pytest.raises(ConfigError) as exc:
-        parse_config([], config_file=path)
+        parse_config(["--config", str(path)])
     assert "bogus" in str(exc.value)
 
 
@@ -202,7 +204,7 @@ def test_flag_file_key_and_echo_agree(tmp_path, name):
     by_flag = parse_config(["--objective", "sphere", flag])
     path = tmp_path / "exp.cfg"
     path.write_text(f"objective = sphere\n{name} = {text}\n")
-    by_file = parse_config([], config_file=path)
+    by_file = parse_config(["--config", str(path)])
     value = getattr(by_file, name)
     assert value == getattr(by_flag, name)
     assert value != getattr(ExperimentConfig(objective="michalewicz"), name)
@@ -247,7 +249,7 @@ def test_config_file_fuzz_gives_a_config_or_names_a_setting(objective, lines):
         path = Path(tmp) / "exp.cfg"
         path.write_text(text)
         try:
-            cfg = parse_config([], config_file=path)
+            cfg = parse_config(["--config", str(path)])
         except ConfigError as err:
             assert str(err).split(":", 1)[0] in _ERROR_PREFIXES, str(err)
         else:
@@ -344,13 +346,11 @@ def test_trajectory_contents(tmp_path):
 
 
 def legacy_emit_trajectory(result: RunResult, path) -> None:
-    """The writer that formats every field of every record with repr; the
+    """The writer that formats every field of every row with repr; the
     byte-for-byte spec of ``emit_trajectory``."""
     lines = ["t,f_x,f_bst,d,delta," + ",".join(f"x_{j}" for j in range(len(result.x_bst)))]
-    for r in result.records:
-        lines.append(",".join(
-            [str(r.t), repr(r.f_x), repr(r.f_bst), repr(r.d), repr(r.delta)]
-            + [repr(c) for c in r.x]))
+    for t, row in enumerate(result.trajectory.tolist(), 1):
+        lines.append(",".join([str(t)] + [repr(v) for v in row]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -414,7 +414,7 @@ def test_summary_file_round_trips_the_campaign(tmp_path):
     cfg_path = tmp_path / "echo.cfg"
     cfg_path.write_text("\n".join(lines) + "\n")
 
-    cfg2 = parse_config(["--out-dir", str(dir2)], config_file=cfg_path)
+    cfg2 = parse_config(["--config", str(cfg_path), "--out-dir", str(dir2)])
     run_campaign(cfg2)
     assert (dir1 / "summary.json").read_bytes() == (dir2 / "summary.json").read_bytes()
 
@@ -473,8 +473,8 @@ def test_main_failed_campaign_exits_2(tmp_path, capsys):
                  "--init-box=-1e100:1e100", "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: trial 0: objective returned non-finite value inf "
-                          "at iteration 0 for x=[")
+    assert err.startswith("error: trial 0 (seed 15793235383387715774): objective "
+                          "returned non-finite value inf at iteration 0 for x=[")
     assert "Traceback" not in err
 
 
@@ -485,7 +485,7 @@ def test_failed_campaign_prints_only_the_error_line(tmp_path):
                         "--init-box=-1e100:1e100", "--out-dir", str(tmp_path)], tmp_path)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: trial 0: ")
+    assert len(lines) == 1 and lines[0].startswith("error: trial 0 (seed 15793235383387715774): ")
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -500,12 +500,13 @@ def test_box_whose_width_overflows_is_one_error_line(tmp_path, argv, field):
     call, with no traceback or RuntimeWarning lines."""
     proc = _run_module(argv, tmp_path)
     assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [f"error: {field} width hi - lo overflows on some axis"]
+    assert proc.stderr.splitlines() == [
+        f"error: {field.removesuffix(':')}: width hi - lo overflows on some axis"]
 
 
 @pytest.mark.parametrize("argv,error", [
     (["grid", "--resolution", "10", "--box=-8e307:8e307"],
-     "box (resolution - 1) * (hi - lo) overflows on some axis"),
+     "box: (resolution - 1) * (hi - lo) overflows on some axis"),
     (["grid", "--resolution", "10", "--box=1e200:1e201"],
      "objective is not finite at any grid node"),
     (["random", "--evals", "10", "--box=1e200:1e201"],
@@ -517,6 +518,37 @@ def test_oracle_box_without_a_finite_value_is_one_error_line(tmp_path, argv, err
     proc = _run_module(["oracle", argv[0], "--objective", "sphere"] + argv[1:], tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {error}"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["random", "--evals", "0"], "evals: must be >= 1, got 0"),
+    (["random", "--evals", "10", "--seed", "-1"], "seed: expected non-negative integer"),
+    (["random", "--evals", "10", "--dim", "0"], "dim: must be >= 1, got 0"),
+    (["random", "--evals", "10", "--box=0:1,0:1,0:1"], "box: needs 1 or 2 lo:hi pairs, got 3"),
+    (["grid", "--resolution", "10", "--dim", "0"], "dim: must be >= 1, got 0"),
+    (["grid", "--resolution", "10", "--max-nodes", "0"], "max-nodes: must be >= 1, got 0"),
+    (["grid", "--resolution", "1"], "resolution: must be >= 2, got 1"),
+    (["grid", "--resolution", "10", "--box=0:1,0:1,0:1"],
+     "box: needs 1 or 2 lo:hi pairs, got 3"),
+    (["grid", "--resolution", "10", "--box=-inf:inf"], "box: bounds must be finite"),
+])
+def test_oracle_errors_name_their_flag(tmp_path, argv, error):
+    proc = _run_module(["oracle", argv[0], "--objective", "sphere"] + argv[1:], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {error}"]
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    """The history of one 10^9-iteration trial needs 44.7 GiB; under a 2 GiB
+    address-space limit its allocation fails, and that is one error line."""
+    limit = 2 << 30
+    proc = _run_module(
+        ["run", "--objective", "sphere", "--iters", "1000000000", "--traj", "first",
+         "--out-dir", str(tmp_path / "out")], tmp_path,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), proc.stderr
 
 
 def test_invalid_config_creates_no_out_dir(tmp_path, capsys):
@@ -537,7 +569,8 @@ def test_failed_campaign_names_the_lowest_failing_trial(tmp_path):
     with pytest.raises(CampaignError) as exc:
         run_campaign(cfg)
     assert str(exc.value).startswith(
-        "trial 3: objective returned non-finite value inf at iteration 0 for x=[")
+        "trial 3 (seed 12505594170494392219): objective returned non-finite value inf "
+        "at iteration 0 for x=[")
 
 
 def test_main_oracle_grid(capsys):

@@ -335,7 +335,7 @@ def test_iterate_failure_leaves_state_untouched():
 def test_run_single_iteration_accounting():
     cfg = BasConfig(dimension=2, x0=(1.0, 1.0), max_iters=1)
     res = run(cfg, sphere)
-    assert len(res.records) == 1
+    assert len(res.trajectory) == 1
     assert res.evals == 4
     assert res.termination == "max_iters"
 
@@ -358,10 +358,10 @@ def test_run_best_monotone_and_consistent():
     obj = lookup_objective("michalewicz", 2)
     cfg = BasConfig(dimension=2, init_box=obj.init_box, seed=8)
     res = run(cfg, obj)
-    f_bsts = [r.f_bst for r in res.records]
+    f_bsts = res.trajectory[:, 1].tolist()
     assert all(b <= a for a, b in zip(f_bsts, f_bsts[1:]))
     assert f_bsts[-1] == res.f_bst
-    assert min(r.f_x for r in res.records) >= res.f_bst
+    assert res.trajectory[:, 0].min() >= res.f_bst
     # stored best is reproduced exactly by re-evaluation
     assert obj(np.array(res.x_bst)) == res.f_bst
 
@@ -370,7 +370,7 @@ def test_run_evaluation_accounting():
     for iters in (1, 7, 100):
         cfg = BasConfig(dimension=2, x0=(0.3, 0.3), max_iters=iters, seed=1)
         res = run(cfg, sphere)
-        assert res.evals == 1 + 3 * len(res.records)
+        assert res.evals == 1 + 3 * len(res.trajectory)
 
 
 def test_run_target_early_stop():
@@ -378,14 +378,14 @@ def test_run_target_early_stop():
     res = run(cfg, sphere)
     assert res.termination == "target_reached"
     assert res.f_bst <= 0.5
-    assert len(res.records) < 100
+    assert len(res.trajectory) < 100
 
 
 def test_run_stall_early_stop():
     cfg = BasConfig(dimension=2, x0=(1.0, 1.0), stall_iters=5, seed=0)
     res = run(cfg, lambda x: 1.0)
     assert res.termination == "stalled"
-    assert len(res.records) == 5
+    assert len(res.trajectory) == 5
 
 
 def test_run_positive_scaling_leaves_trajectory_unchanged():
@@ -394,7 +394,7 @@ def test_run_positive_scaling_leaves_trajectory_unchanged():
     cfg = BasConfig(dimension=2, init_box=((0.0, np.pi),) * 2, seed=21)
     res_plain = run(cfg, michalewicz)
     res_scaled = run(cfg, scaled)
-    assert [r.x for r in res_plain.records] == [r.x for r in res_scaled.records]
+    assert res_plain.trajectory[:, 4:].tolist() == res_scaled.trajectory[:, 4:].tolist()
     assert res_scaled.x_bst == res_plain.x_bst
 
 
