@@ -151,7 +151,10 @@ class CampaignSummary:
 def read_config_file(path) -> dict:
     """Flat ``key = value`` text; keys are the setting names."""
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"config: {path}: {getattr(err, 'strerror', None) or err}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -327,9 +330,7 @@ def emit_summary(summary: CampaignSummary, path) -> None:
             "total_evals": summary.total_evals,
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:

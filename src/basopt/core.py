@@ -295,7 +295,9 @@ def init_position(config: BasConfig, rng: np.random.Generator) -> Array:
     if config.x0 is not None:
         return np.asarray(config.x0, dtype=float)
     box = np.asarray(config.init_box, dtype=float)
-    return rng.uniform(box[:, 0], box[:, 1])
+    # What rng.uniform(lo, hi) computes, from the same stream, bit for bit,
+    # without its argument broadcasting and range checks.
+    return box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(len(box))
 
 
 def _evaluate(objective: ObjectiveFn, x: Array) -> float:

@@ -35,7 +35,16 @@ def michalewicz(x, m: int = 10) -> float | Array:
     if m < 1:
         raise ValueError(f"steepness m must be >= 1, got {m}")
     i = np.arange(1, x.shape[-1] + 1, dtype=float)
-    return -np.sum(np.sin(x) * np.sin(i * x * x / np.pi) ** (2 * m), axis=-1)
+    # -sum(sin(x) * sin(i * x * x / pi) ** (2m)) operation for operation, in
+    # place in two buffers: the bits are those of the plain expression.
+    t = i * x
+    t *= x
+    t /= np.pi
+    np.sin(t, out=t)
+    t **= 2 * m
+    s = np.sin(x)
+    s *= t
+    return -np.add.reduce(s, axis=-1)
 
 
 def goldstein_price(x) -> float | Array:
@@ -60,7 +69,7 @@ def sphere(x) -> float | Array:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] < 1:
         raise ValueError("sphere needs at least one coordinate")
-    return np.sum(x * x, axis=-1)
+    return np.add.reduce(x * x, axis=-1)
 
 
 @dataclass(frozen=True)

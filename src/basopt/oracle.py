@@ -77,23 +77,34 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
         raise ValueError(
             f"grid has {grid.dimension} axes but {objective.name} expects {objective.dimension}")
 
-    axes = [_axis(lo, hi, grid.resolution) for lo, hi in grid.box]
-    shape = (grid.resolution,) * grid.dimension
-    total = grid.n_nodes
+    r, k = grid.resolution, grid.dimension
+    axes = [_axis(lo, hi, r) for lo, hi in grid.box]
+    shape = (r,) * k
+    n_rows = grid.n_nodes // r
+    # A chunk is a run of whole rows along the last axis, or one piece of a
+    # row longer than _CHUNK, written into one buffer reused by every chunk.
+    rows, width = (_CHUNK // r, r) if r <= _CHUNK else (1, _CHUNK)
+    buf = np.empty((min(rows, n_rows) * width, k))
 
     best_value = np.inf
     best_flat = -1
     # Enumerate nodes in C order = lexicographic coordinate order, so the
     # first occurrence of the minimum is the lexicographic tie-winner.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, total, _CHUNK):
-            flat = np.arange(start, min(start + _CHUNK, total))
-            multi = np.unravel_index(flat, shape)
-            points = np.stack([axes[j][multi[j]] for j in range(grid.dimension)], axis=-1)
-            i, value = _finite_argmin(objective.batch(points))
-            if value < best_value:
-                best_value = value
-                best_flat = int(flat[i])
+        for row in range(0, n_rows, rows):
+            n_run = min(rows, n_rows - row)
+            lead = np.unravel_index(np.arange(row, row + n_run), shape[:-1]) if k > 1 else ()
+            for col in range(0, r, width):
+                n_col = min(width, r - col)
+                points = buf[:n_run * n_col]
+                block = points.reshape(n_run, n_col, k)
+                block[..., -1] = axes[-1][col:col + n_col]
+                for j, index in enumerate(lead):
+                    block[..., j] = axes[j][index, None]
+                i, value = _finite_argmin(objective.batch(points))
+                if value < best_value:
+                    best_value = value
+                    best_flat = row * r + col + i
     if best_flat < 0:
         raise ValueError("objective is not finite at any grid node")
 

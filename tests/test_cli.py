@@ -2,6 +2,7 @@
 
 import csv
 import json
+import locale
 import os
 import resource
 import subprocess
@@ -152,6 +153,28 @@ def test_config_file_rejects_malformed_line(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("objective sphere\n")
     with pytest.raises(ConfigError):
+        read_config_file(path)
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("missing.cfg", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing", "directory"])
+def test_unreadable_config_file_is_one_error_line(tmp_path, name, reason):
+    path = tmp_path / name
+    proc = _run_module(["run", "--objective", "sphere", "--config", str(path),
+                        "--out-dir", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: config: {path}: {reason}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_that_does_not_decode_is_a_config_error(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"objective = sph\xffre\n")
+    if locale.getpreferredencoding(False).lower().replace("-", "") != "utf8":
+        pytest.skip("the bytes only fail to decode as UTF-8")
+    with pytest.raises(ConfigError, match=r"^config: .*exp\.cfg: 'utf-8' codec can't decode"):
         read_config_file(path)
 
 

@@ -226,6 +226,39 @@ def test_init_box_reproducible_and_contained():
     assert np.all(x1 >= 0.0) and np.all(x1 <= np.pi)
 
 
+_BOUNDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 8e307, -8e307]))
+
+
+@st.composite
+def _init_boxes(draw):
+    """Per-axis (lo, hi) with a finite width: degenerate, negative, subnormal
+    and near-overflow bounds included."""
+    box = []
+    for _ in range(draw(st.integers(1, 8))):
+        a = draw(_BOUNDS)
+        b = draw(st.one_of(st.just(a), _BOUNDS))
+        lo, hi = min(a, b), max(a, b)
+        if not np.isfinite(hi - lo):
+            hi = lo
+        box.append((lo, hi))
+    return tuple(box)
+
+
+@settings(max_examples=400, deadline=None)
+@given(box=_init_boxes(), seed=st.integers(0, 2 ** 64 - 1))
+def test_init_draw_matches_rng_uniform_bitwise(box, seed):
+    """The start is lo + (hi - lo) * u from the stream rng.uniform reads:
+    the same bytes, and the generator left in the same state."""
+    cfg = BasConfig(dimension=len(box), init_box=box)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = init_position(cfg, rng)
+    expected = ref.uniform(*np.asarray(box).T)
+    assert x.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         BasConfig(dimension=0, x0=())

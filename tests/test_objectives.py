@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from basopt.objectives import (
     MICHALEWICZ_2D_ARGMIN,
@@ -58,6 +61,33 @@ def test_michalewicz_batch_matches_scalar_bitwise():
     batch = michalewicz(pts)
     for p, v in zip(pts, batch):
         assert michalewicz(p) == v
+
+
+def _michalewicz_reference(x, m):
+    """Michalewicz as the plain expression, seven temporaries and all."""
+    i = np.arange(1, x.shape[-1] + 1, dtype=float)
+    return -np.sum(np.sin(x) * np.sin(i * x * x / np.pi) ** (2 * m), axis=-1)
+
+
+def _nan_canonical_bytes(values):
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 33), n=st.one_of(st.none(), st.integers(0, 300)),
+       m=st.sampled_from([1, 2, 10]), data=st.data())
+def test_michalewicz_in_place_matches_reference_bitwise(k, n, m, data):
+    coords = st.one_of(st.floats(-1e6, 1e6),
+                       st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    x = data.draw(arrays(np.float64, (k,) if n is None else (n, k), elements=coords))
+    before = x.tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = michalewicz(x, m)
+        want = _michalewicz_reference(x, m)
+    assert x.tobytes() == before
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert _nan_canonical_bytes(got) == _nan_canonical_bytes(want)
 
 
 # ---------------------------------------------------------------------------

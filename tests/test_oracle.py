@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from basopt import oracle
 from basopt.objectives import Objective, lookup_objective
 from basopt.oracle import GridSpec, _axis, grid_search, random_search_baseline
 
@@ -90,19 +91,80 @@ def test_grid_matches_brute_force_enumeration():
     assert tuple(point) == best[0]
 
 
-def test_grid_chunk_boundaries_do_not_change_result():
-    # The chunked scan must agree with a single-pass argmin regardless of
-    # where chunk boundaries fall.
-    obj = lookup_objective("michalewicz", 2)
-    spec = GridSpec(box=obj.init_box, resolution=57)
-    point, value = grid_search(obj, spec)
-    ax0 = _axis(*spec.box[0], spec.resolution)
-    ax1 = _axis(*spec.box[1], spec.resolution)
-    X, Y = np.meshgrid(ax0, ax1, indexing="ij")
-    vals = obj.batch(np.stack([X.ravel(), Y.ravel()], axis=-1))
-    j = int(np.argmin(vals))
-    assert value == vals[j]
-    assert np.array_equal(point, [X.ravel()[j], Y.ravel()[j]])
+def _recording(obj, batches, edges):
+    """``obj`` keeping a copy of every batch it evaluates; with ``edges`` the
+    first node of each batch is NaN and the last -inf."""
+    def fn(x):
+        values = obj.fn(x)
+        if x.ndim == 2:
+            batches.append(x.copy())
+            if edges and len(x):
+                values = np.array(values, dtype=float)
+                values[0], values[-1] = np.nan, -np.inf
+        return values
+    return Objective(name=obj.name, dimension=obj.dimension, fn=fn, init_box=obj.init_box)
+
+
+def _unchunked(obj, spec, non_finite):
+    """Every lattice node from one meshgrid in C order, and the first
+    smallest finite value of one batch over all of them, nodes listed in
+    ``non_finite`` excluded: (points, point, value), with point and value
+    None when no value is finite."""
+    axes = [_axis(lo, hi, spec.resolution) for lo, hi in spec.box]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    values = obj.batch(points)
+    values[non_finite] = np.nan
+    values = np.where(np.isfinite(values), values, np.inf)
+    j = int(np.argmin(values))
+    if not np.isfinite(values[j]):
+        return points, None, None
+    return points, points[j], float(values[j])
+
+
+def test_grid_chunk_boundaries_do_not_change_result(monkeypatch):
+    """Wherever chunk boundaries fall, the chunked scan hands every node to
+    ``Objective.batch`` exactly once in C order, no chunk holds more than
+    ``_CHUNK`` nodes, and the result is the single-pass argmin, bit for bit,
+    also when the nodes at every chunk edge are non-finite."""
+    cases = [(lookup_objective("michalewicz", 2), 57), (lookup_objective("michalewicz", 3), 9),
+             (_constant_objective(0.0), 13), (lookup_objective("sphere", 1), 40)]
+    for (obj, r), edges in itertools.product(cases, [False, True]):
+        spec = GridSpec(box=obj.init_box, resolution=r)
+        for chunk in (1, 7, r - 1, r, r + 1, 3 * r + 2):
+            where = f"{obj.name} k={obj.dimension} res={r} _CHUNK={chunk} edges={edges}"
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            batches = []
+            try:
+                result = grid_search(_recording(obj, batches, edges), spec)
+            except ValueError as err:
+                result = err
+
+            sizes = np.array([len(b) for b in batches])
+            assert sizes.max() <= chunk, where
+            if r <= chunk:
+                assert np.all(sizes % r == 0), where  # runs of whole rows
+            ends = np.cumsum(sizes)
+            edge_nodes = np.concatenate([ends - sizes, ends - 1]) if edges else []
+            points, want_point, want_value = _unchunked(obj, spec, edge_nodes)
+            assert np.concatenate(batches).tobytes() == points.tobytes(), where
+            if want_point is None:
+                assert "not finite at any grid node" in str(result), where
+            else:
+                point, value = result
+                assert point.tobytes() == want_point.tobytes(), where
+                assert value.hex() == want_value.hex(), where
+
+
+def test_grid_rows_longer_than_a_chunk_are_split():
+    """A 1-D lattice of 2 * _CHUNK + 3 nodes at the real chunk size: three
+    chunks, the minimum in the last one."""
+    obj = Objective(name="slope", dimension=1, fn=lambda x: -np.add.reduce(x, axis=-1),
+                    init_box=((0.0, 1.0),))
+    spec = GridSpec(box=obj.init_box, resolution=2 * oracle._CHUNK + 3)
+    batches = []
+    point, value = grid_search(_recording(obj, batches, False), spec)
+    assert [len(b) for b in batches] == [oracle._CHUNK, oracle._CHUNK, 3]
+    assert point.tobytes() == np.array([1.0]).tobytes() and value == -1.0
 
 
 def test_grid_dimension_mismatch():
