@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -317,57 +319,81 @@ def emit_summary(summary: CampaignSummary, path) -> None:
     """
     doc = {
         "config": summary.config,
-        "trials": [
-            {"trial": t.trial, "seed": t.seed, "f_bst": t.f_bst,
-             "x_bst": list(t.x_bst), "evals": t.evals, "termination": t.termination}
-            for t in summary.trials
-        ],
-        "aggregate": {
-            "best": summary.best,
-            "median": summary.median,
-            "mean": summary.mean,
-            "std": summary.std,
-            "total_evals": summary.total_evals,
-        },
+        "trials": [vars(t) for t in summary.trials],
+        "aggregate": {name: getattr(summary, name)
+                      for name in ("best", "median", "mean", "std", "total_evals")},
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+@contextmanager
+def _staged(out_dir: str):
+    """A fresh directory inside ``out_dir`` for a campaign's artifacts. They
+    move into ``out_dir`` only when the block ends without an error, so a
+    failed campaign leaves ``out_dir`` as it found it, or absent with any
+    parent it created. An ``OSError`` becomes a ``ConfigError`` naming out-dir."""
+    target = Path(out_dir)
+    missing = [path for path in (target, *target.parents) if not path.exists()]
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".basopt-", dir=target) as staging:
+            yield Path(staging)
+            for path in Path(staging).iterdir():
+                os.replace(path, target / path.name)
+    except OSError as err:
+        raise ConfigError(f"out-dir: {out_dir}: {err.strerror or err}") from None
+    finally:
+        for path in missing:  # leaf first; rmdir only succeeds while empty
+            with suppress(OSError):
+                path.rmdir()
+
+
+def _spread(f_values: np.ndarray) -> list:
+    """Median, mean and std of ``f_values``. Each is numpy's where that is
+    finite, so it stays bit for bit; where a sum overflows, it is computed on
+    ``f / max|f|`` and scaled back."""
+    def stats(v):
+        return np.array([np.median(v), v.mean(), v.std()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.abs(f_values).max()
+        plain = stats(f_values)
+        return np.where(np.isfinite(plain), plain, scale * stats(f_values / scale)).tolist()
 
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     """Run ``trials`` independent seeded searches and write the artifacts."""
     objective = lookup_objective(cfg.objective, cfg.dim)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _staged(cfg.out_dir) as out_dir:
+        started = time.perf_counter()
+        seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.trials)]
+        written = range({"all": cfg.trials, "first": 1, "none": 0}[cfg.traj])
+        schedule_text = {}  # shared by the trajectories: every trial has one schedule
+        trials = []
+        try:
+            for i, result in enumerate(run_trials(cfg.search, objective, seeds,
+                                                  record=written)):
+                trials.append(TrialResult(trial=i, seed=seeds[i], f_bst=result.f_bst,
+                                          x_bst=result.x_bst, evals=result.evals,
+                                          termination=result.termination))
+                if i in written:
+                    emit_trajectory(result, out_dir / f"traj_{i:03d}.csv", schedule_text)
+        except ObjectiveError as err:
+            raise CampaignError(f"trial {err.trial} (seed {seeds[err.trial]}): {err}") from err
+        duration = time.perf_counter() - started
 
-    started = time.perf_counter()
-    seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.trials)]
-    written = range({"all": cfg.trials, "first": 1, "none": 0}[cfg.traj])
-    schedule_text = {}  # shared by the trajectories: every trial has one schedule
-    trials = []
-    try:
-        for i, result in enumerate(run_trials(cfg.search, objective, seeds,
-                                              record=written)):
-            trials.append(TrialResult(trial=i, seed=seeds[i], f_bst=result.f_bst,
-                                      x_bst=result.x_bst, evals=result.evals,
-                                      termination=result.termination))
-            if i in written:
-                emit_trajectory(result, out_dir / f"traj_{i:03d}.csv", schedule_text)
-    except ObjectiveError as err:
-        raise CampaignError(f"trial {err.trial} (seed {seeds[err.trial]}): {err}") from err
-    duration = time.perf_counter() - started
-
-    f_values = np.array([t.f_bst for t in trials])
-    summary = CampaignSummary(
-        config=config_echo(cfg),
-        trials=tuple(trials),
-        best=float(f_values.min()),
-        median=float(np.median(f_values)),
-        mean=float(f_values.mean()),
-        std=float(f_values.std()),
-        total_evals=int(sum(t.evals for t in trials)),
-        duration_s=duration,
-    )
-    emit_summary(summary, out_dir / "summary.json")
+        f_values = np.array([t.f_bst for t in trials])
+        median, mean, std = _spread(f_values)
+        summary = CampaignSummary(
+            config=config_echo(cfg),
+            trials=tuple(trials),
+            best=float(f_values.min()),
+            median=median,
+            mean=mean,
+            std=std,
+            total_evals=int(sum(t.evals for t in trials)),
+            duration_s=duration,
+        )
+        emit_summary(summary, out_dir / "summary.json")
     return summary
 
 
@@ -406,13 +432,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = _merge_run_args(args)
             summary = run_campaign(cfg)
-            out_dir = Path(cfg.out_dir)
             print(f"campaign: objective={cfg.objective} dim={cfg.dim} "
                   f"trials={cfg.trials} iters={cfg.iters} seed={cfg.seed}")
             print(f"  f_bst: best={summary.best!r} median={summary.median!r} "
                   f"mean={summary.mean!r} std={summary.std!r}")
             print(f"  evals={summary.total_evals} duration={summary.duration_s:.3f}s "
-                  f"summary={out_dir / 'summary.json'}")
+                  f"summary={Path(cfg.out_dir) / 'summary.json'}")
             return 0
         if args.command == "oracle":
             box = None if args.box is None else parse_box_spec(args.box, "box")

@@ -102,31 +102,13 @@ class Objective:
         return np.asarray(self.fn(points), dtype=float)
 
 
-def _michalewicz_objective(dimension: int) -> Objective:
-    optimum = None
-    if dimension == 2:
-        optimum = (MICHALEWICZ_2D_ARGMIN, MICHALEWICZ_2D_MIN)
-    return Objective(name="michalewicz", dimension=dimension, fn=michalewicz,
-                     init_box=((0.0, np.pi),) * dimension, known_optimum=optimum)
-
-
-def _goldstein_price_objective(dimension: int) -> Objective:
-    return Objective(name="goldstein_price", dimension=dimension, fn=goldstein_price,
-                     init_box=((-2.0, 2.0), (-2.0, 2.0)),
-                     known_optimum=((0.0, -1.0), 3.0))
-
-
-def _sphere_objective(dimension: int) -> Objective:
-    return Objective(name="sphere", dimension=dimension, fn=sphere,
-                     init_box=((-1.0, 1.0),) * dimension,
-                     known_optimum=((0.0,) * dimension, 0.0))
-
-
-# name -> (fixed dimension or None for any k >= 1, builder)
+# name -> (function, fixed dimension or None for any k >= 1, (lo, hi) of every
+# axis of the default box, known optimum at dimension k or None)
 _REGISTRY = {
-    "michalewicz": (None, _michalewicz_objective),
-    "goldstein_price": (2, _goldstein_price_objective),
-    "sphere": (None, _sphere_objective),
+    "michalewicz": (michalewicz, None, (0.0, np.pi),
+                    lambda k: (MICHALEWICZ_2D_ARGMIN, MICHALEWICZ_2D_MIN) if k == 2 else None),
+    "goldstein_price": (goldstein_price, 2, (-2.0, 2.0), lambda k: ((0.0, -1.0), 3.0)),
+    "sphere": (sphere, None, (-1.0, 1.0), lambda k: ((0.0,) * k, 0.0)),
 }
 
 
@@ -139,10 +121,11 @@ def lookup_objective(name: str, dimension: int) -> Objective:
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown objective {name!r}; valid names: {', '.join(objective_names())}")
-    fixed_dim, build = _REGISTRY[name]
+    fn, fixed_dim, axis, optimum = _REGISTRY[name]
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if fixed_dim is not None and dimension != fixed_dim:
         raise ValueError(
             f"{name} is defined for dimension {fixed_dim} only, got {dimension}")
-    return build(dimension)
+    return Objective(name=name, dimension=dimension, fn=fn, init_box=(axis,) * dimension,
+                     known_optimum=optimum(dimension))

@@ -59,15 +59,25 @@ def _axis(lo: float, hi: float, resolution: int) -> Array:
     return nodes
 
 
-def _finite_argmin(values: Array) -> tuple[int, float]:
-    """Index and value of the first smallest finite entry of ``values``, or
-    ``(0, inf)`` when none is finite. A non-finite value is an overflow in the
-    objective, never a minimum, and a NaN would hide the rest from argmin."""
-    i = int(np.argmin(values))
-    if not np.isfinite(values[i]):
-        values = np.where(np.isfinite(values), values, np.inf)
-        i = int(np.argmin(values))
-    return i, float(values[i])
+def _minimum(objective: Objective, chunks, nowhere: str) -> tuple[Array, float]:
+    """The first smallest finite value of ``objective`` over the points of
+    ``chunks``, an iterable of ``(n, k)`` arrays, and a copy of its point;
+    ``ValueError(nowhere)`` when no value is finite."""
+    best_point, best_value = None, np.inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for points in chunks:
+            values = objective.batch(points)
+            i = int(np.argmin(values))
+            if not np.isfinite(values[i]):
+                # A non-finite value is an overflow in the objective, never a
+                # minimum, and a NaN would hide the rest from argmin.
+                values = np.where(np.isfinite(values), values, np.inf)
+                i = int(np.argmin(values))
+            if values[i] < best_value:
+                best_point, best_value = points[i].copy(), float(values[i])
+    if best_point is None:
+        raise ValueError(nowhere)
+    return best_point, best_value
 
 
 def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
@@ -79,21 +89,18 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
 
     r, k = grid.resolution, grid.dimension
     axes = [_axis(lo, hi, r) for lo, hi in grid.box]
-    shape = (r,) * k
     n_rows = grid.n_nodes // r
     # A chunk is a run of whole rows along the last axis, or one piece of a
     # row longer than _CHUNK, written into one buffer reused by every chunk.
     rows, width = (_CHUNK // r, r) if r <= _CHUNK else (1, _CHUNK)
     buf = np.empty((min(rows, n_rows) * width, k))
 
-    best_value = np.inf
-    best_flat = -1
-    # Enumerate nodes in C order = lexicographic coordinate order, so the
-    # first occurrence of the minimum is the lexicographic tie-winner.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    def chunks():
+        # Nodes in C order = lexicographic coordinate order, so the first
+        # occurrence of the minimum is the lexicographic tie-winner.
         for row in range(0, n_rows, rows):
             n_run = min(rows, n_rows - row)
-            lead = np.unravel_index(np.arange(row, row + n_run), shape[:-1]) if k > 1 else ()
+            lead = np.unravel_index(np.arange(row, row + n_run), (r,) * (k - 1)) if k > 1 else ()
             for col in range(0, r, width):
                 n_col = min(width, r - col)
                 points = buf[:n_run * n_col]
@@ -101,16 +108,9 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
                 block[..., -1] = axes[-1][col:col + n_col]
                 for j, index in enumerate(lead):
                     block[..., j] = axes[j][index, None]
-                i, value = _finite_argmin(objective.batch(points))
-                if value < best_value:
-                    best_value = value
-                    best_flat = row * r + col + i
-    if best_flat < 0:
-        raise ValueError("objective is not finite at any grid node")
+                yield points
 
-    multi = np.unravel_index(best_flat, shape)
-    best_point = np.array([axes[j][multi[j]] for j in range(grid.dimension)])
-    return best_point, best_value
+    return _minimum(objective, chunks(), "objective is not finite at any grid node")
 
 
 def random_search_baseline(objective: Objective, box, n_evals: int,
@@ -120,16 +120,6 @@ def random_search_baseline(objective: Objective, box, n_evals: int,
     box = np.asarray(_as_box(box, objective.dimension, "box"), dtype=float)
     if n_evals < 1:
         raise ValueError(f"n_evals must be >= 1, got {n_evals}")
-    best_value = np.inf
-    best_point = None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, n_evals, _CHUNK):
-            count = min(_CHUNK, n_evals - start)
-            points = rng.uniform(box[:, 0], box[:, 1], size=(count, objective.dimension))
-            i, value = _finite_argmin(objective.batch(points))
-            if value < best_value:
-                best_value = value
-                best_point = points[i].copy()
-    if best_point is None:
-        raise ValueError("objective is not finite at any sample")
-    return best_point, best_value
+    draws = (rng.uniform(box[:, 0], box[:, 1], size=(min(_CHUNK, n_evals - start), len(box)))
+             for start in range(0, n_evals, _CHUNK))
+    return _minimum(objective, draws, "objective is not finite at any sample")

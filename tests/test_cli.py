@@ -1,6 +1,7 @@
 """Tests for config parsing, the campaign harness, and artifact output."""
 
 import csv
+import errno
 import json
 import locale
 import os
@@ -334,6 +335,25 @@ def test_single_trial_aggregates_collapse(tmp_path):
     assert summary.std == 0.0
 
 
+def _no_constant(name):
+    raise AssertionError(f"summary.json holds the non-standard JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_aggregates_whose_sums_overflow_stay_finite(tmp_path, capsys):
+    """Values near 1e308 overflow the sums inside numpy's mean and std; the
+    aggregates are still finite, in range, and standard JSON."""
+    code = main(["run", "--objective", "sphere", "--trials", "5", "--traj", "none",
+                 "--init-box=0:1e154", "--out-dir", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads((tmp_path / "summary.json").read_text(), parse_constant=_no_constant)
+    agg = doc["aggregate"]
+    high = max(t["f_bst"] for t in doc["trials"])
+    assert agg["best"] <= agg["median"] <= high
+    assert agg["best"] <= agg["mean"] <= high
+    assert np.isfinite(agg["std"])
+
+
 def test_campaign_reruns_are_byte_identical(tmp_path):
     dir1, dir2 = tmp_path / "a", tmp_path / "b"
     run_campaign(_cfg(dir1, objective="michalewicz", trials=3, seed=7, traj="all"))
@@ -572,6 +592,7 @@ def test_out_of_memory_is_one_error_line(tmp_path):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config_creates_no_out_dir(tmp_path, capsys):
@@ -594,6 +615,39 @@ def test_failed_campaign_names_the_lowest_failing_trial(tmp_path):
     assert str(exc.value).startswith(
         "trial 3 (seed 12505594170494392219): objective returned non-finite value inf "
         "at iteration 0 for x=[")
+
+
+def test_failed_campaign_leaves_out_dir_as_it_was(tmp_path):
+    """The failing campaign above, rerun with every trajectory into the
+    directory of a good campaign, changes no file there and adds none."""
+    run_campaign(_cfg(tmp_path, objective="sphere", dim=1, trials=4, seed=3, traj="all"))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(CampaignError, match="^trial 3 "):
+        run_campaign(_cfg(tmp_path, objective="sphere", dim=1, init_box="0:2.6e154",
+                          trials=4, seed=3, traj="all"))
+    assert sorted(os.listdir(tmp_path)) == sorted(before)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_failed_campaign_creates_no_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "fresh" / "sub"
+    code = main(["run", "--objective", "sphere", "--dim", "1", "--init-box=0:2.6e154",
+                 "--trials", "4", "--seed", "3", "--traj", "all", "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: trial 3 (seed 12505594170494392219): ")
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("out_dir,errno_", [
+    ("F", errno.EEXIST),
+    (os.path.join("F", "sub"), errno.ENOTDIR),
+], ids=["file", "below-a-file"])
+def test_unusable_out_dir_is_one_error_line(tmp_path, out_dir, errno_):
+    (tmp_path / "F").write_text("")
+    proc = _run_module(["run", "--objective", "sphere", "--out-dir", out_dir], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: out-dir: {out_dir}: {os.strerror(errno_)}"]
+    assert (tmp_path / "F").read_text() == ""
 
 
 def test_main_oracle_grid(capsys):

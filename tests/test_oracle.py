@@ -105,20 +105,24 @@ def _recording(obj, batches, edges):
     return Objective(name=obj.name, dimension=obj.dimension, fn=fn, init_box=obj.init_box)
 
 
-def _unchunked(obj, spec, non_finite):
-    """Every lattice node from one meshgrid in C order, and the first
-    smallest finite value of one batch over all of them, nodes listed in
-    ``non_finite`` excluded: (points, point, value), with point and value
-    None when no value is finite."""
-    axes = [_axis(lo, hi, spec.resolution) for lo, hi in spec.box]
-    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+def _single_pass(obj, points, non_finite):
+    """The first smallest finite value of one batch over all of ``points``,
+    entries listed in ``non_finite`` excluded: (point, value), both None
+    when no value is finite."""
     values = obj.batch(points)
     values[non_finite] = np.nan
     values = np.where(np.isfinite(values), values, np.inf)
     j = int(np.argmin(values))
     if not np.isfinite(values[j]):
-        return points, None, None
-    return points, points[j], float(values[j])
+        return None, None
+    return points[j], float(values[j])
+
+
+def _edges(batches, edges):
+    """Indices of the first and last point of every batch, if ``edges``."""
+    sizes = np.array([len(b) for b in batches])
+    ends = np.cumsum(sizes)
+    return np.concatenate([ends - sizes, ends - 1]) if edges else []
 
 
 def test_grid_chunk_boundaries_do_not_change_result(monkeypatch):
@@ -143,9 +147,10 @@ def test_grid_chunk_boundaries_do_not_change_result(monkeypatch):
             assert sizes.max() <= chunk, where
             if r <= chunk:
                 assert np.all(sizes % r == 0), where  # runs of whole rows
-            ends = np.cumsum(sizes)
-            edge_nodes = np.concatenate([ends - sizes, ends - 1]) if edges else []
-            points, want_point, want_value = _unchunked(obj, spec, edge_nodes)
+            # Every lattice node from one meshgrid in C order.
+            axes = [_axis(lo, hi, spec.resolution) for lo, hi in spec.box]
+            points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+            want_point, want_value = _single_pass(obj, points, _edges(batches, edges))
             assert np.concatenate(batches).tobytes() == points.tobytes(), where
             if want_point is None:
                 assert "not finite at any grid node" in str(result), where
@@ -258,6 +263,39 @@ def test_baseline_improves_with_budget():
     _, large = random_search_baseline(obj, obj.init_box, 10000,
                                       np.random.default_rng(5))
     assert large <= small
+
+
+def test_baseline_chunk_boundaries_do_not_change_result(monkeypatch):
+    """Wherever chunk boundaries fall, the samples are one ``rng.uniform``
+    draw of all ``n`` in order, no chunk holds more than ``_CHUNK`` of them,
+    and the result is the single-pass argmin, bit for bit, also when the
+    samples at every chunk edge are non-finite."""
+    n = 40
+    objectives = [lookup_objective("michalewicz", 2), lookup_objective("sphere", 3),
+                  _constant_objective(0.0)]
+    for obj, edges in itertools.product(objectives, [False, True]):
+        box = np.asarray(obj.init_box)
+        points = np.random.default_rng(11).uniform(box[:, 0], box[:, 1],
+                                                   size=(n, obj.dimension))
+        for chunk in (1, 7, n - 1, n, n + 1):
+            where = f"{obj.name} k={obj.dimension} _CHUNK={chunk} edges={edges}"
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            batches = []
+            try:
+                result = random_search_baseline(_recording(obj, batches, edges), obj.init_box,
+                                                n, np.random.default_rng(11))
+            except ValueError as err:
+                result = err
+
+            assert max(len(b) for b in batches) <= chunk, where
+            assert np.concatenate(batches).tobytes() == points.tobytes(), where
+            want_point, want_value = _single_pass(obj, points, _edges(batches, edges))
+            if want_point is None:
+                assert "not finite at any sample" in str(result), where
+            else:
+                point, value = result
+                assert point.tobytes() == want_point.tobytes(), where
+                assert value.hex() == want_value.hex(), where
 
 
 def test_baseline_validates_count():
