@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,10 +37,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message begins with the setting."""
 
 
-class CampaignError(RuntimeError):
-    """A trial of the campaign failed; the message names the trial."""
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "on", "1"):
@@ -49,20 +46,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def parse_box_spec(spec: str, field: str = "init-box") -> tuple:
-    """Parse ``lo:hi[,lo:hi...]`` into a tuple of (lo, hi) pairs."""
+def parse_box_spec(spec: str) -> tuple:
+    """Parse ``lo:hi[,lo:hi...]`` into (lo, hi) pairs; the search checks the box."""
     pairs = []
     for part in spec.split(","):
         pieces = part.split(":")
         if len(pieces) != 2:
-            raise ConfigError(f"{field}: expected lo:hi[,lo:hi...], got {spec!r}")
+            raise ValueError(f"expected lo:hi[,lo:hi...], got {spec!r}")
         try:
-            lo, hi = float(pieces[0]), float(pieces[1])
+            pairs.append((float(pieces[0]), float(pieces[1])))
         except ValueError:
-            raise ConfigError(f"{field}: malformed number in {part!r}") from None
-        if lo > hi:
-            raise ConfigError(f"{field}: lo must be <= hi, got {part!r}")
-        pairs.append((lo, hi))
+            raise ValueError(f"malformed number in {part!r}") from None
     return tuple(pairs)
 
 
@@ -120,28 +114,14 @@ _SETTINGS = {f.name: f for f in fields(ExperimentConfig) if f.init}
 
 
 def _parse_setting(name: str, text: str):
-    try:
+    with _naming(name.replace("_", "-")):
         return _SETTINGS[name].metadata["parse"](text)
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"{name.replace('_', '-')}: {err}") from None
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    trial: int
-    seed: int
-    f_bst: float
-    x_bst: tuple
-    evals: int
-    termination: str
 
 
 @dataclass(frozen=True)
 class CampaignSummary:
     config: dict          # resolved flat config echo (file-key names)
-    trials: tuple
+    trials: tuple         # a RunResult per trial, in order, with no trajectory rows
     best: float
     median: float
     mean: float
@@ -183,7 +163,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 @contextmanager
 def _naming(fallback: Optional[str] = None, **settings):
-    """Re-raise a core ``ValueError`` as a ``ConfigError`` naming the setting.
+    """Re-raise a ``ValueError`` as a ``ConfigError`` naming the setting.
 
     A core message begins with the name of the parameter at fault; when
     ``settings`` maps that name to a setting, the setting replaces it,
@@ -319,7 +299,9 @@ def emit_summary(summary: CampaignSummary, path) -> None:
     """
     doc = {
         "config": summary.config,
-        "trials": [vars(t) for t in summary.trials],
+        "trials": [{"trial": i, "seed": t.seed, "f_bst": t.f_bst, "x_bst": t.x_bst,
+                    "evals": t.evals, "termination": t.termination}
+                   for i, t in enumerate(summary.trials)],
         "aggregate": {name: getattr(summary, name)
                       for name in ("best", "median", "mean", "std", "total_evals")},
     }
@@ -331,15 +313,20 @@ def _staged(out_dir: str):
     """A fresh directory inside ``out_dir`` for a campaign's artifacts. They
     move into ``out_dir`` only when the block ends without an error, so a
     failed campaign leaves ``out_dir`` as it found it, or absent with any
-    parent it created. An ``OSError`` becomes a ``ConfigError`` naming out-dir."""
+    parent it created. A move removes each ``traj_<digits>.csv`` it did not
+    bring. An ``OSError`` becomes a ``ConfigError`` naming out-dir."""
     target = Path(out_dir)
     missing = [path for path in (target, *target.parents) if not path.exists()]
     try:
         target.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".basopt-", dir=target) as staging:
             yield Path(staging)
-            for path in Path(staging).iterdir():
-                os.replace(path, target / path.name)
+            staged = set(os.listdir(staging))
+            for name in staged:
+                os.replace(Path(staging) / name, target / name)
+            for name in os.listdir(target):
+                if re.fullmatch(r"traj_[0-9]+\.csv", name) and name not in staged:
+                    os.remove(target / name)
     except OSError as err:
         raise ConfigError(f"out-dir: {out_dir}: {err.strerror or err}") from None
     finally:
@@ -368,17 +355,14 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
         seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.trials)]
         written = range({"all": cfg.trials, "first": 1, "none": 0}[cfg.traj])
         schedule_text = {}  # shared by the trajectories: every trial has one schedule
+        rowless = np.empty((0, 4 + cfg.dim))  # a written trial's trajectory in the
+        rowless.flags.writeable = False       # summary, so that it keeps no rows alive
         trials = []
-        try:
-            for i, result in enumerate(run_trials(cfg.search, objective, seeds,
-                                                  record=written)):
-                trials.append(TrialResult(trial=i, seed=seeds[i], f_bst=result.f_bst,
-                                          x_bst=result.x_bst, evals=result.evals,
-                                          termination=result.termination))
-                if i in written:
-                    emit_trajectory(result, out_dir / f"traj_{i:03d}.csv", schedule_text)
-        except ObjectiveError as err:
-            raise CampaignError(f"trial {err.trial} (seed {seeds[err.trial]}): {err}") from err
+        for i, result in enumerate(run_trials(cfg.search, objective, seeds, record=written)):
+            if i in written:
+                emit_trajectory(result, out_dir / f"traj_{i:03d}.csv", schedule_text)
+                result = replace(result, trajectory=rowless)
+            trials.append(result)
         duration = time.perf_counter() - started
 
         f_values = np.array([t.f_bst for t in trials])
@@ -417,7 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grid_p = osub.add_parser("grid", parents=[search_space],
                              help="exhaustive lattice minimization")
     grid_p.add_argument("--resolution", type=int, required=True)
-    grid_p.add_argument("--max-nodes", type=int, default=10 ** 8)
 
     rand_p = osub.add_parser("random", parents=[search_space],
                              help="uniform random sampling baseline")
@@ -440,15 +423,14 @@ def main(argv=None) -> int:
                   f"summary={Path(cfg.out_dir) / 'summary.json'}")
             return 0
         if args.command == "oracle":
-            box = None if args.box is None else parse_box_spec(args.box, "box")
+            with _naming("box"):
+                box = None if args.box is None else parse_box_spec(args.box)
             objective, box = _objective_and_box(args.objective, args.dim, box, "box")
             space = f"objective={objective.name} dim={objective.dimension}"
             duration = ""
-            with _naming(box="box", resolution="resolution", max_nodes="max_nodes",
-                         n_evals="evals"):
+            with _naming(box="box", resolution="resolution", n_evals="evals"):
                 if args.oracle_command == "grid":
-                    grid = GridSpec(box=box, resolution=args.resolution,
-                                    max_nodes=args.max_nodes)
+                    grid = GridSpec(box=box, resolution=args.resolution)
                     started = time.perf_counter()
                     x, f = grid_search(objective, grid)
                     duration = f" duration={time.perf_counter() - started:.3f}s"
@@ -462,7 +444,7 @@ def main(argv=None) -> int:
             print(f"  best_f={f!r} best_x={coords}{duration}")
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (ValueError, CampaignError) as err:
+    except (ValueError, ObjectiveError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MemoryError as err:

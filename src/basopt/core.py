@@ -50,17 +50,16 @@ class ObjectiveError(RuntimeError):
     """Raised when an objective evaluation produces a non-finite value."""
 
     def __init__(self, value: float, x: Array, iteration: Optional[int] = None,
-                 trial: Optional[int] = None):
+                 trial: Optional[int] = None, seed: Optional[int] = None):
         self.value = value
         self.x = np.asarray(x, dtype=float)
         self.iteration = iteration
         self.trial = trial  # position in the seeds given to run_trials
-        super().__init__(self._describe())
-
-    def _describe(self) -> str:
-        where = "" if self.iteration is None else f" at iteration {self.iteration}"
-        return (f"objective returned non-finite value {self.value!r}{where} "
-                f"for x={self.x.tolist()}")
+        self.seed = seed    # that trial's seed
+        which = "" if trial is None else f"trial {trial} (seed {seed}): "
+        where = "" if iteration is None else f" at iteration {iteration}"
+        super().__init__(f"{which}objective returned non-finite value {value!r}{where} "
+                         f"for x={self.x.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ class SearchState:
     evals: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RunResult:
     """Outcome of one search.
 
@@ -208,7 +207,8 @@ class RunResult:
     and the columns ``f_x, f_bst, d, delta, x_0 ... x_{k-1}``: the objective
     at the new position, the best value so far, the antenna length and step
     size the iteration used, then the new position. A trial whose history
-    was not recorded has an empty ``(0, 4 + k)`` trajectory.
+    was not recorded has an empty ``(0, 4 + k)`` trajectory. ``seed`` is the
+    seed the search ran with. Slotted, as a campaign summary keeps one per trial.
     """
 
     trajectory: Array
@@ -216,13 +216,14 @@ class RunResult:
     f_bst: float
     evals: int
     termination: str
+    seed: int
 
     def __eq__(self, other):
         if not isinstance(other, RunResult):
             return NotImplemented
         return (np.array_equal(self.trajectory, other.trajectory)
-                and (self.x_bst, self.f_bst, self.evals, self.termination)
-                == (other.x_bst, other.f_bst, other.evals, other.termination))
+                and (self.x_bst, self.f_bst, self.evals, self.termination, self.seed)
+                == (other.x_bst, other.f_bst, other.evals, other.termination, other.seed))
 
 
 def sample_direction(k: int, rng: np.random.Generator) -> Array:
@@ -370,7 +371,7 @@ def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     and each block's results are yielded when the block finishes. If an
     objective value is not finite, the results before the lowest failing
     trial are yielded and then its ``ObjectiveError`` is raised, with
-    ``trial`` set to its position.
+    ``trial`` set to its position and ``seed`` to its seed.
     """
     kept = [i in record for i in range(len(seeds))]
     for block in _blocks(config, kept):
@@ -504,10 +505,11 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
                         x_bst=tuple(x_bst[row].tolist()),
                         f_bst=float(f_bst[row]),
                         evals=1 + 3 * ran,
-                        termination=termination[row])
+                        termination=termination[row],
+                        seed=seeds[row])
     if failures:
         value, point, t = failures[lowest]
-        raise ObjectiveError(value, point, t, trial=first + lowest)
+        raise ObjectiveError(value, point, t, trial=first + lowest, seed=seeds[lowest])
 
 
 def run(config: BasConfig, objective: ObjectiveFn) -> RunResult:

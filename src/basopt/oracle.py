@@ -17,6 +17,7 @@ from .core import Array, _as_box
 from .objectives import Objective
 
 _CHUNK = 1 << 16
+_MAX_NODES = 10 ** 8  # largest lattice a GridSpec accepts: a guard for resolution ** k
 
 
 @dataclass(frozen=True)
@@ -25,21 +26,16 @@ class GridSpec:
 
     box: tuple
     resolution: int
-    max_nodes: int = 10 ** 8  # runtime guard for resolution ** k
 
     def __post_init__(self):
         object.__setattr__(self, "box", _as_box(self.box, None, "box"))
         if self.resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {self.resolution}")
-        if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
-        if self.n_nodes > self.max_nodes:
-            raise ValueError(
-                f"grid of {self.n_nodes} nodes exceeds the cap of {self.max_nodes}")
-        width = np.diff(np.asarray(self.box), axis=1)
+        if self.n_nodes > _MAX_NODES:
+            raise ValueError(f"grid of {self.n_nodes} nodes exceeds the cap of {_MAX_NODES}")
         with np.errstate(over="ignore"):
-            overflows = not np.all(np.isfinite((self.resolution - 1) * width))
-        if overflows:
+            span = (self.resolution - 1) * np.diff(np.asarray(self.box), axis=1)
+        if not np.all(np.isfinite(span)):
             raise ValueError("box (resolution - 1) * (hi - lo) overflows on some axis")
 
     @property

@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import basopt
-from basopt import BasConfig, RunResult, derive_trial_seed, lookup_objective, run
+from basopt import BasConfig, ObjectiveError, RunResult, derive_trial_seed, lookup_objective, run
 from basopt.cli import (
-    CampaignError,
     ConfigError,
     ExperimentConfig,
     config_echo,
@@ -65,14 +64,15 @@ def test_parse_box_spec_multiple_pairs():
 
 
 def test_parse_box_spec_errors():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_box_spec("0-1")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_box_spec("0:1:2")
-    with pytest.raises(ConfigError):
-        parse_box_spec("2:1")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_box_spec("a:b")
+    # only the syntax: the search config checks the box (see the init-box
+    # case of test_validation_errors_name_the_field)
+    assert parse_box_spec("2:1") == ((2.0, 1.0),)
 
 
 def test_format_box_spec_round_trips():
@@ -197,9 +197,11 @@ def test_config_file_that_does_not_decode_is_a_config_error(tmp_path):
         (["--objective", "michalewicz", "--eta-delta", "0"], "eta-delta:"),
         (["--objective", "michalewicz", "--target", "nan"], "target:"),
         (["--objective", "michalewicz", "--config", "traj = sometimes\n"], "traj:"),
+        (["--objective", "sphere", "--init-box=2:1"],
+         "init-box: requires lo <= hi on every axis"),
     ],
 )
-def test_validation_errors_name_the_field(tmp_path, tokens, field):
+def test_validation_errors_name_the_field(tmp_path, capsys, tokens, field):
     if "--config" in tokens:  # the token after it is the file's text
         i = tokens.index("--config") + 1
         path = tmp_path / "exp.cfg"
@@ -209,6 +211,9 @@ def test_validation_errors_name_the_field(tmp_path, tokens, field):
     with cfg_error as exc:
         parse_config(tokens)
     assert str(exc.value).startswith(field)
+    # the CLI prints the same message as one line and exits 2
+    assert main(["run", *tokens]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 _SETTINGS = [f.name for f in fields(ExperimentConfig) if f.init]
@@ -310,11 +315,25 @@ def test_each_trial_reproducible_in_isolation(tmp_path):
     cfg = _cfg(tmp_path, objective="michalewicz", trials=4, seed=3, traj="none")
     summary = run_campaign(cfg)
     obj = lookup_objective("michalewicz", 2)
-    for trial in summary.trials:
+    for i, trial in enumerate(summary.trials):
         direct = run(BasConfig(dimension=2, init_box=obj.init_box,
-                               seed=derive_trial_seed(3, trial.trial)), obj)
+                               seed=derive_trial_seed(3, i)), obj)
         assert trial.f_bst == direct.f_bst
         assert trial.x_bst == direct.x_bst
+
+
+def test_summary_trials_are_run_results_without_rows(tmp_path):
+    """The summary holds each trial's RunResult with its seed, and an empty
+    trajectory that is no view of the rows, so no trajectory stays alive."""
+    summary = run_campaign(_cfg(tmp_path, objective="michalewicz", dim=3, trials=3,
+                                seed=4, traj="all"))
+    assert [t.seed for t in summary.trials] == [derive_trial_seed(4, i) for i in range(3)]
+    for trial in summary.trials:
+        assert isinstance(trial, RunResult)
+        assert trial.trajectory.shape == (0, 7)
+        assert trial.trajectory.base is None
+        assert not trial.trajectory.flags.writeable
+    assert len((tmp_path / "traj_002.csv").read_text().splitlines()) == 1 + 100
 
 
 def test_summary_aggregates_recompute(tmp_path):
@@ -370,7 +389,8 @@ def test_trajectory_modes(tmp_path, mode, expected):
 
 def test_trajectory_contents(tmp_path):
     run_campaign(_cfg(tmp_path, objective="michalewicz", seed=2))
-    rows = list(csv.DictReader((tmp_path / "traj_000.csv").open()))
+    with (tmp_path / "traj_000.csv").open() as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 100
     header = (tmp_path / "traj_000.csv").read_text().splitlines()[0]
     assert header == "t,f_x,f_bst,d,delta,x_0,x_1"
@@ -435,7 +455,8 @@ def test_emit_trajectory_matches_the_per_field_writer(trajectories):
         for trajectory in trajectories:
             k = trajectory.shape[1] - 4
             result = RunResult(trajectory=trajectory, x_bst=(0.0,) * k, f_bst=0.0,
-                               evals=1 + 3 * len(trajectory), termination="max_iters")
+                               evals=1 + 3 * len(trajectory), termination="max_iters",
+                               seed=0)
             emit_trajectory(result, new, schedule_text)
             legacy_emit_trajectory(result, old)
             assert new.read_bytes() == old.read_bytes()
@@ -569,11 +590,14 @@ def test_oracle_box_without_a_finite_value_is_one_error_line(tmp_path, argv, err
     (["random", "--evals", "10", "--dim", "0"], "dim: must be >= 1, got 0"),
     (["random", "--evals", "10", "--box=0:1,0:1,0:1"], "box: needs 1 or 2 lo:hi pairs, got 3"),
     (["grid", "--resolution", "10", "--dim", "0"], "dim: must be >= 1, got 0"),
-    (["grid", "--resolution", "10", "--max-nodes", "0"], "max-nodes: must be >= 1, got 0"),
+    (["grid", "--resolution", "10", "--box=2:1"], "box: requires lo <= hi on every axis"),
     (["grid", "--resolution", "1"], "resolution: must be >= 2, got 1"),
     (["grid", "--resolution", "10", "--box=0:1,0:1,0:1"],
      "box: needs 1 or 2 lo:hi pairs, got 3"),
     (["grid", "--resolution", "10", "--box=-inf:inf"], "box: bounds must be finite"),
+    (["random", "--evals", "10", "--box=0:1,1:0"], "box: requires lo <= hi on every axis"),
+    (["grid", "--resolution", "10", "--box=0:1:2"],
+     "box: expected lo:hi[,lo:hi...], got '0:1:2'"),
 ])
 def test_oracle_errors_name_their_flag(tmp_path, argv, error):
     proc = _run_module(["oracle", argv[0], "--objective", "sphere"] + argv[1:], tmp_path)
@@ -610,11 +634,13 @@ def test_failed_campaign_names_the_lowest_failing_trial(tmp_path):
     # with master seed 3 the first to fail is trial 3.
     cfg = _cfg(tmp_path, objective="sphere", dim=1, init_box="0:2.6e154",
                trials=4, seed=3)
-    with pytest.raises(CampaignError) as exc:
+    with pytest.raises(ObjectiveError) as exc:
         run_campaign(cfg)
     assert str(exc.value).startswith(
         "trial 3 (seed 12505594170494392219): objective returned non-finite value inf "
         "at iteration 0 for x=[")
+    assert (exc.value.trial, exc.value.seed, exc.value.iteration) == (
+        3, derive_trial_seed(3, 3), 0)
 
 
 def test_failed_campaign_leaves_out_dir_as_it_was(tmp_path):
@@ -622,7 +648,7 @@ def test_failed_campaign_leaves_out_dir_as_it_was(tmp_path):
     directory of a good campaign, changes no file there and adds none."""
     run_campaign(_cfg(tmp_path, objective="sphere", dim=1, trials=4, seed=3, traj="all"))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    with pytest.raises(CampaignError, match="^trial 3 "):
+    with pytest.raises(ObjectiveError, match="^trial 3 "):
         run_campaign(_cfg(tmp_path, objective="sphere", dim=1, init_box="0:2.6e154",
                           trials=4, seed=3, traj="all"))
     assert sorted(os.listdir(tmp_path)) == sorted(before)
@@ -636,6 +662,26 @@ def test_failed_campaign_creates_no_out_dir(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: trial 3 (seed 12505594170494392219): ")
     assert not (tmp_path / "fresh").exists()
+
+
+def test_rerun_removes_the_older_campaigns_trajectories(tmp_path):
+    """A campaign that succeeds into a used directory leaves its own
+    trajectories only; files that are not trajectories stay as they were."""
+    (tmp_path / "notes.txt").write_text("keep")
+    (tmp_path / "traj_old.csv").write_text("keep")
+    run_campaign(_cfg(tmp_path, objective="sphere", trials=5, traj="all"))
+    assert sorted(p.name for p in tmp_path.glob("traj_*.csv")) == [
+        "traj_000.csv", "traj_001.csv", "traj_002.csv", "traj_003.csv", "traj_004.csv",
+        "traj_old.csv"]
+    run_campaign(_cfg(tmp_path, objective="sphere", trials=2, traj="all"))
+    assert sorted(p.name for p in tmp_path.glob("traj_*.csv")) == [
+        "traj_000.csv", "traj_001.csv", "traj_old.csv"]
+    run_campaign(_cfg(tmp_path, objective="sphere", trials=2, traj="first"))
+    assert sorted(p.name for p in tmp_path.glob("traj_*.csv")) == [
+        "traj_000.csv", "traj_old.csv"]
+    assert [(tmp_path / name).read_text() for name in ("notes.txt", "traj_old.csv")] == [
+        "keep", "keep"]
+    assert len(json.loads((tmp_path / "summary.json").read_text())["trials"]) == 2
 
 
 @pytest.mark.parametrize("out_dir,errno_", [
@@ -670,10 +716,19 @@ def test_main_oracle_random(capsys):
 
 def test_main_oracle_grid_cap(capsys):
     code = main(["oracle", "grid", "--objective", "goldstein_price",
-                 "--resolution", "100000", "--max-nodes", "1000000"])
+                 "--resolution", "100000"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "cap" in err
+    assert err == "error: grid of 10000000000 nodes exceeds the cap of 100000000\n"
+
+
+def test_max_nodes_is_not_an_option(capsys):
+    """The grid cap is the constant ``oracle._MAX_NODES``, not a flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "grid", "--objective", "goldstein_price", "--resolution", "10",
+              "--max-nodes", "1000000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-nodes" in capsys.readouterr().err
 
 
 def test_main_requires_subcommand():

@@ -56,7 +56,8 @@ def reference_run(config: BasConfig, objective, seed: int) -> RunResult:
     trajectory = np.array(rows, dtype=float).reshape(len(rows), 4 + config.dimension)
     return RunResult(trajectory=trajectory,
                      x_bst=tuple(float(v) for v in state.x_bst),
-                     f_bst=state.f_bst, evals=state.evals, termination=termination)
+                     f_bst=state.f_bst, evals=state.evals, termination=termination,
+                     seed=seed)
 
 
 def assert_same_result(got: RunResult, want: RunResult) -> None:
@@ -65,8 +66,8 @@ def assert_same_result(got: RunResult, want: RunResult) -> None:
     assert got.trajectory.dtype == np.float64
     assert got.trajectory.shape == want.trajectory.shape
     assert got.trajectory.tobytes() == want.trajectory.tobytes()
-    assert (repr((got.x_bst, got.f_bst, got.evals, got.termination))
-            == repr((want.x_bst, want.f_bst, want.evals, want.termination)))
+    assert (repr((got.x_bst, got.f_bst, got.evals, got.termination, got.seed))
+            == repr((want.x_bst, want.f_bst, want.evals, want.termination, want.seed)))
 
 
 def _objective(name: str, dim: int):
@@ -164,6 +165,15 @@ def test_run_is_the_single_trial_engine():
     assert_same_result(run(cfg, obj), reference_run(cfg, obj, 99))
 
 
+def test_results_carry_their_seed():
+    obj = lookup_objective("sphere", 2)
+    cfg = BasConfig(dimension=2, init_box=obj.init_box, seed=17, max_iters=5)
+    assert run(cfg, obj).seed == 17
+    seeds = [3, 2 ** 64 - 1, 0]
+    assert [r.seed for r in run_trials(cfg, obj, seeds)] == seeds
+    assert run(cfg, obj) != dataclasses.replace(run(cfg, obj), seed=18)
+
+
 def test_scalar_objective_sees_r_l_new_order():
     seen = []
 
@@ -217,8 +227,8 @@ def test_lowest_failing_trial_is_reported():
     with pytest.raises(ObjectiveError) as exc:
         for result in run_trials(cfg, objective, seeds):
             got.append(result)
-    assert exc.value.trial == lowest
-    assert str(exc.value) == str(outcomes[lowest])
+    assert (exc.value.trial, exc.value.seed) == (lowest, seeds[lowest])
+    assert str(exc.value) == f"trial {lowest} (seed {seeds[lowest]}): {outcomes[lowest]}"
     assert [r.f_bst for r in got] == [o.f_bst for o in outcomes[:lowest]]
 
 

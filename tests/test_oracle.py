@@ -47,10 +47,11 @@ def test_gridspec_validation():
 
 
 def test_gridspec_node_cap_enforced_at_construction():
+    assert oracle._MAX_NODES == 10 ** 8
+    assert GridSpec(box=((-2.0, 2.0), (-2.0, 2.0)), resolution=10 ** 4).n_nodes == 10 ** 8
     with pytest.raises(ValueError) as exc:
-        GridSpec(box=((-2.0, 2.0), (-2.0, 2.0)), resolution=100000,
-                 max_nodes=10 ** 6)
-    assert "cap" in str(exc.value)
+        GridSpec(box=((-2.0, 2.0), (-2.0, 2.0)), resolution=10 ** 4 + 1)
+    assert str(exc.value) == "grid of 100020001 nodes exceeds the cap of 100000000"
 
 
 # ---------------------------------------------------------------------------
