@@ -3,11 +3,14 @@
 The raw functions accept a single point of shape (k,) or a batch of shape
 (n, k) and reduce over the last axis; ``Objective`` wraps them with a bound
 dimension, a default initialization box, and the known optimum where one is
-established. All functions are pure.
+established. All functions are pure and row-wise. ``Objective.batch`` splits
+a large batch into contiguous row ranges evaluated on the usable CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,6 +23,12 @@ Array = np.ndarray
 # (2.20319, 1.57049)).
 MICHALEWICZ_2D_ARGMIN = (2.202905513296628, 1.570796322320509)
 MICHALEWICZ_2D_MIN = -1.8013034100985499
+
+# Elements (rows * k) per range of a split ``Objective.batch``. Starting and
+# joining a thread costs about 0.1 ms; on a 2-CPU VM (numpy 2.4) two ranges
+# of 2^15 elements take 0.53x the serial time for Michalewicz and about break
+# even for the ten times cheaper sphere and Goldstein-Price.
+_MIN_PART = 1 << 15
 
 
 def michalewicz(x, m: int = 10) -> float | Array:
@@ -76,9 +85,14 @@ def sphere(x) -> float | Array:
 class Objective:
     """A benchmark function bound to a concrete dimension.
 
-    ``fn`` is batch-capable (maps (..., k) to (...)). Calling the objective
-    evaluates a single point and returns a builtin float; ``batch`` maps an
-    (n, k) array of points to an (n,) array of values.
+    ``fn`` is batch-capable (maps (..., k) to (...)) and row-wise: row i's
+    value depends only on row i, whatever the other rows. It must be safe to
+    call from several threads at once. Calling the objective evaluates a
+    single point and returns a builtin float; ``batch`` maps an (n, k) array
+    of points to an (n,) array of values. A batch is cut into contiguous row
+    ranges, at most one per usable CPU and per ``_MIN_PART`` elements, and
+    ``fn`` runs on each range in a thread of its own; by the contract above
+    the values are those of one ``fn`` call, bit for bit.
     """
 
     name: str
@@ -99,7 +113,48 @@ class Objective:
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError(
                 f"{self.name} expects points of shape (n, {self.dimension}), got {points.shape}")
-        return np.asarray(self.fn(points), dtype=float)
+        parts = min(points.size // _MIN_PART, len(points))
+        if parts > 1:
+            parts = min(parts, _usable_cpus())
+        if parts < 2:
+            return np.asarray(self.fn(points), dtype=float)
+        return _split_batch(self.fn, points, parts)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split_batch(fn, points: Array, parts: int) -> Array:
+    """``fn`` on ``parts`` contiguous row ranges of ``points``, the first on
+    this thread and each other one on a thread of its own, concatenated in
+    order. Every thread has finished before this returns or raises the first
+    failing range's exception."""
+    edges = [len(points) * j // parts for j in range(parts + 1)]
+    values, errors = [None] * parts, [None] * parts
+    # A new thread starts from numpy's default error state, not the caller's.
+    state = dict(np.geterr(), call=np.geterrcall())
+
+    def evaluate(j):
+        try:
+            with np.errstate(**state):
+                values[j] = np.asarray(fn(points[edges[j]:edges[j + 1]]), dtype=float)
+        except BaseException as err:  # re-raised on the calling thread below
+            errors[j] = err
+
+    threads = [threading.Thread(target=evaluate, args=(j,)) for j in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    evaluate(0)
+    for thread in threads:
+        thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return np.concatenate(values)
 
 
 # name -> (function, fixed dimension or None for any k >= 1, (lo, hi) of every

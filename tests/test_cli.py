@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import basopt
+from basopt import objectives
 from basopt import BasConfig, ObjectiveError, RunResult, derive_trial_seed, lookup_objective, run
 from basopt.cli import (
     ConfigError,
@@ -336,6 +337,21 @@ def test_summary_trials_are_run_results_without_rows(tmp_path):
     assert len((tmp_path / "traj_002.csv").read_text().splitlines()) == 1 + 100
 
 
+@pytest.mark.parametrize("flags", [
+    ["--dim", "2", "--iters", "100", "--trials", "200", "--traj", "none"],
+    ["--dim", "10", "--iters", "100", "--trials", "500", "--clamp", "--stall", "20",
+     "--traj", "all"],
+], ids=["mich2d_search", "mich10d_ragged"])
+def test_campaign_batches_are_never_split(tmp_path, monkeypatch, flags):
+    """The benchmark's campaigns hand ``Objective.batch`` at most a few
+    thousand elements, far below a split, so they run on one thread."""
+    def split(*args):
+        raise AssertionError("a campaign batch was split")
+    monkeypatch.setattr(objectives, "_split_batch", split)
+    monkeypatch.setattr(objectives, "_usable_cpus", lambda: 8)
+    run_campaign(parse_config(["--objective", "michalewicz", "--out-dir", str(tmp_path)] + flags))
+
+
 def test_summary_aggregates_recompute(tmp_path):
     cfg = _cfg(tmp_path, objective="michalewicz", trials=8, traj="none")
     summary = run_campaign(cfg)
@@ -575,10 +591,16 @@ def test_box_whose_width_overflows_is_one_error_line(tmp_path, argv, field):
      "objective is not finite at any grid node"),
     (["random", "--evals", "10", "--box=1e200:1e201"],
      "objective is not finite at any sample"),
-], ids=["grid-nodes-overflow", "grid-no-finite-value", "random-no-finite-value"])
+    (["grid", "--resolution", "400", "--box=1e200:1e201"],
+     "objective is not finite at any grid node"),
+    (["random", "--evals", "200000", "--box=1e200:1e201"],
+     "objective is not finite at any sample"),
+], ids=["grid-nodes-overflow", "grid-no-finite-value", "random-no-finite-value",
+        "grid-no-finite-value-split", "random-no-finite-value-split"])
 def test_oracle_box_without_a_finite_value_is_one_error_line(tmp_path, argv, error):
     """Nodes that overflow, or a sphere that overflows at every point, are
-    refused with one line, no traceback and no RuntimeWarning lines."""
+    refused with one line, no traceback and no RuntimeWarning lines, also
+    when the batches are large enough to be split across threads."""
     proc = _run_module(["oracle", argv[0], "--objective", "sphere"] + argv[1:], tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {error}"]

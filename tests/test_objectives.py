@@ -1,11 +1,19 @@
 """Tests for the benchmark objectives and the registry."""
 
+import os
+import sys
+import threading
+import time
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from basopt import objectives
 from basopt.objectives import (
     MICHALEWICZ_2D_ARGMIN,
     MICHALEWICZ_2D_MIN,
@@ -222,3 +230,134 @@ def test_objective_batch_shape():
     out = obj.batch(np.zeros((5, 2)))
     assert out.shape == (5,)
     assert np.array_equal(out, np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# Objective.batch split across threads
+
+@contextmanager
+def _split_at(cpus, min_part=None):
+    """``Objective.batch`` seeing ``cpus`` usable CPUs and, if given, ranges
+    of ``min_part`` elements."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objectives, "_usable_cpus", lambda: cpus)
+        if min_part is not None:
+            mp.setattr(objectives, "_MIN_PART", min_part)
+        yield
+
+
+def _counting(obj):
+    """``obj`` with an ``fn`` that records the row count of every call."""
+    calls = []
+
+    def fn(x):
+        calls.append(len(x))
+        return obj.fn(x)
+    return Objective(name=obj.name, dimension=obj.dimension, fn=fn,
+                     init_box=obj.init_box), calls
+
+
+_SPLIT_CASES = ([("michalewicz", k) for k in (1, 2, 3, 8, 9, 10, 33)]
+                + [("sphere", k) for k in (1, 2, 3, 8, 9, 10, 33)]
+                + [("goldstein_price", 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(_SPLIT_CASES),
+       n=st.one_of(st.sampled_from([0, 1, 9, 17, 23]), st.integers(0, 60)),
+       min_part=st.sampled_from([1, 2, 5, 16]), cpus=st.sampled_from([2, 8]), data=st.data())
+def test_split_batch_matches_one_fn_call_bit_for_bit(case, n, min_part, cpus, data):
+    """Cut into ranges or not, ``batch`` returns the bits of one ``fn`` call
+    over all rows, NaN payloads aside, with overflowing, infinite, NaN and
+    signed-zero coordinates."""
+    name, k = case
+    plain = lookup_objective(name, k)
+    obj, calls = _counting(plain)
+    coords = st.one_of(st.floats(-1e300, 1e300),
+                       st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    points = data.draw(arrays(np.float64, (n, k), elements=coords))
+    with np.errstate(all="ignore"):
+        want = np.asarray(plain.fn(points), dtype=float)
+        with _split_at(cpus, min_part):
+            got = obj.batch(points)
+    assert len(calls) == max(1, min(n * k // min_part, n, cpus))
+    assert sum(calls) == n and max(calls) - min(calls) <= 1
+    assert got.shape == (n,)
+    assert _nan_canonical_bytes(got) == _nan_canonical_bytes(want)
+
+
+def test_split_batch_under_frequent_thread_switches():
+    """More ranges than CPUs and a thread switch every microsecond, for at
+    most two seconds: every batch is one ``fn`` call's bits and its ranges
+    cover each row once."""
+    plain = lookup_objective("michalewicz", 3)
+    obj, calls = _counting(plain)
+    points = np.random.default_rng(0).uniform(0.0, np.pi, size=(8 * 257 + 5, 3))
+    want = plain.fn(points).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rounds, deadline = 0, time.monotonic() + 2.0
+        with _split_at(8, 16):
+            while rounds < 100 and time.monotonic() < deadline:
+                calls.clear()
+                assert obj.batch(points).tobytes() == want
+                assert len(calls) == 8 and sum(calls) == len(points)
+                rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert rounds >= 1
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+@pytest.mark.parametrize("failing", ["later", "first"])
+def test_split_batch_raises_the_first_failing_range(cpus, failing):
+    """Only the first range, or every range but the first, raises: the
+    caller gets the exception of the first range that failed, after every
+    thread has ended."""
+    starts = []
+
+    def fn(x):
+        start = int(x[0, 0])
+        starts.append(start)
+        if (start > 0) == (failing == "later"):
+            raise ValueError(f"range from row {start}")
+        return np.add.reduce(x, axis=-1)
+    obj = Objective(name="ranges", dimension=1, fn=fn, init_box=((0.0, 1.0),))
+    before = threading.active_count()
+    with _split_at(cpus, 1), pytest.raises(ValueError) as exc:
+        obj.batch(np.arange(10.0)[:, None])
+    assert threading.active_count() == before
+    assert len(starts) == cpus
+    assert str(exc.value) == f"range from row {sorted(starts)[failing == 'later']}"
+
+
+def test_split_batch_runs_under_the_callers_error_state():
+    """A new thread starts from numpy's default error state: only the second
+    range overflows, and it raises or stays silent as the caller asked."""
+    obj = lookup_objective("sphere", 3)
+    points = np.zeros((2 * objectives._MIN_PART, 3))
+    points[objectives._MIN_PART:] = 1e200
+    with _split_at(2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            obj.batch(points)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            values = obj.batch(points)
+    assert np.all(values[:objectives._MIN_PART] == 0.0)
+    assert np.all(values[objectives._MIN_PART:] == np.inf)
+
+
+def test_one_usable_cpu_makes_one_fn_call():
+    obj, calls = _counting(lookup_objective("michalewicz", 2))
+    with _split_at(1):
+        obj.batch(np.zeros((8 * objectives._MIN_PART, 2)))
+    assert calls == [8 * objectives._MIN_PART]
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert objectives._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert objectives._usable_cpus() == 1

@@ -1,6 +1,7 @@
 """Tests for the exhaustive grid oracle and the random-search baseline."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,17 +94,17 @@ def test_grid_matches_brute_force_enumeration():
 
 
 def _recording(obj, batches, edges):
-    """``obj`` keeping a copy of every batch it evaluates; with ``edges`` the
-    first node of each batch is NaN and the last -inf."""
-    def fn(x):
-        values = obj.fn(x)
-        if x.ndim == 2:
-            batches.append(x.copy())
-            if edges and len(x):
-                values = np.array(values, dtype=float)
-                values[0], values[-1] = np.nan, -np.inf
+    """``obj`` as the oracles use it, keeping a copy of every batch the
+    oracle hands to ``batch``; with ``edges`` the first value of each batch
+    is NaN and the last -inf. It records at ``batch``, not inside ``fn``,
+    which ``Objective.batch`` may call once per row range of a batch."""
+    def batch(points):
+        batches.append(points.copy())
+        values = obj.batch(points)
+        if edges and len(points):
+            values[0], values[-1] = np.nan, -np.inf
         return values
-    return Objective(name=obj.name, dimension=obj.dimension, fn=fn, init_box=obj.init_box)
+    return SimpleNamespace(name=obj.name, dimension=obj.dimension, batch=batch)
 
 
 def _single_pass(obj, points, non_finite):
