@@ -236,7 +236,7 @@ def sample_direction(k: int, rng: np.random.Generator) -> Array:
         raise ValueError(f"k must be >= 1, got {k}")
     while True:
         v = rng.uniform(-1.0, 1.0, size=k)
-        norm = float(np.linalg.norm(v))
+        norm = float(np.sqrt(np.add.reduce(v * v)))
         if norm >= _MIN_DIRECTION_NORM:
             return v / norm
 
@@ -245,15 +245,16 @@ def sample_directions(k: int, rng: np.random.Generator, count: int) -> Array:
     """``count`` consecutive ``sample_direction(k, rng)`` draws as a (count, k) array.
 
     One ``uniform`` call of shape (count, k) consumes the same stream as
-    ``count`` calls of size k, and each row's norm is the same dot-product
-    reduction that ``np.linalg.norm`` applies to a single vector, so the rows
-    match the one-at-a-time draws bit for bit. A row short enough to be
-    rejected shifts the stream, so then the generator is rewound and the
-    chunk is drawn one direction at a time.
+    ``count`` calls of size k, and each row's norm is the same ``np.add``
+    reduction of squares that ``sample_direction`` applies to a single vector,
+    so the rows match the one-at-a-time draws bit for bit. Neither calls BLAS,
+    whose kernel depends on the CPU. A row short enough to be rejected shifts
+    the stream, so then the generator is rewound and the chunk is drawn one
+    direction at a time.
     """
     state = rng.bit_generator.state
     v = rng.uniform(-1.0, 1.0, size=(count, k))
-    norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1))
     if norms.min() >= _MIN_DIRECTION_NORM:
         return v / norms[:, None]
     rng.bit_generator.state = state

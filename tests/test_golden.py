@@ -2,18 +2,27 @@
 
 Each config is a ``basopt run`` flag list; the expected values are the
 sha256 of ``summary.json`` and of every ``traj_*.csv`` the campaign writes.
-They were recorded with the scalar per-trial run loop that predates the
-lockstep engine, so any drift in directions, arithmetic order, termination
-or serialization fails here. Configs with many trials pin the trajectories
-through one digest over all CSVs (name and bytes, in name order).
-The many-trial configs run again with a lockstep block budget small enough
-to split them into several blocks.
+They were recorded once the direction norms no longer called BLAS and the
+Michalewicz power became a chain of multiplications, so any drift in
+directions, arithmetic order, termination or serialization fails here.
+Configs with many trials pin the trajectories through one digest over all
+CSVs (name and bytes, in name order). The many-trial configs run again with
+a lockstep block budget small enough to split them into several blocks, and
+all configs run again in child processes under the OpenBLAS kernels and
+numpy SIMD loops of other x86-64 CPUs.
 """
 
 import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import basopt
 import basopt.core as core
 from basopt.cli import parse_config, run_campaign
 
@@ -21,42 +30,42 @@ GOLDEN = {
     "michalewicz_2d_traj_all": (
         ["--objective", "michalewicz", "--trials", "3", "--seed", "1", "--traj", "all"],
         {
-            "summary.json": "84c888ac5aacf086e4149d999f8b6c9946deda7bc595f17c39d32ffe7d5842a7",
-            "traj_000.csv": "cdf0f53b7a5eb96e56dedaa22e10451ae76801600e7edd02158648aaff20b1ca",
-            "traj_001.csv": "9f44e11e7d39bff81bce5d14a7434bbdb93a39a9aae1d0627880bd9d11baad96",
-            "traj_002.csv": "4d8ddd71df92fdf15be84762953865adb11f88e40095959690e95439a3ce4101",
+            "summary.json": "89cf27d396aa649b631b5066e62fcaf52551beea5bd52d37e787370d3409b055",
+            "traj_000.csv": "79463d64a02f6c7df77b3262de69608b9f4dc2b0d1f395123a405a9060c720fa",
+            "traj_001.csv": "6295cb795f680468e7075c07726ef658bcb8df49f103baf7d6b56a9be5a13cf7",
+            "traj_002.csv": "a80b6b283ac4d6f41528be3f879fd044177bb39d6d5739572fb8e6fd42e70f92",
         },
     ),
     "goldstein_price_target": (
         ["--objective", "goldstein_price", "--trials", "4", "--seed", "4",
          "--target", "3.05", "--traj", "all"],
         {
-            "summary.json": "51e46afbb7ecc77c86606c6b15b40755df099388b3072f8a18a0de216de52887",
-            "traj_000.csv": "292ff7442b7254c4f6b2747b42aa006f29d7935dbd5d26ac41648576e6d36e3f",
-            "traj_001.csv": "bf15a021f5524b27c2e076c8b63c91c9f05814aa2048add9d14474ca97576e54",
-            "traj_002.csv": "57e3d40e426059dda85395f80888d6bff08391a781c5028e05a4b3e1dcb36577",
-            "traj_003.csv": "c9b8523641fd4298ab653330f457104baaf1c7dd99ef20c294051adc9870a7b3",
+            "summary.json": "96ea0a06d16a7d114b2f6d4b68eae173633c46530e172d058b8c6fb90ebfba51",
+            "traj_000.csv": "287309061b1a8af9db2151d9409d18f9f0638d73f229f04eaa1ec483a9caeb1d",
+            "traj_001.csv": "78893bef9992b12d39bebca2740860f04c379242df0b00ef06bbef01f1b7f600",
+            "traj_002.csv": "20b6d8a2c3715e52e7906e1e7111060c8ab08e196eaff440f4d160a0621c4479",
+            "traj_003.csv": "8e8e49c7a2a6fb9bb96b6b7d964d5120e6a1b9ac1485f87b5dcc7ffeb5640933",
         },
     ),
     "sphere_10d_clamp_stall": (
         ["--objective", "sphere", "--dim", "10", "--trials", "4", "--seed", "2",
          "--clamp", "--stall", "5", "--traj", "all"],
         {
-            "summary.json": "807d9c1f1d8aa4fc77346a5b235220063a7c159d88d358650b4c339732218f85",
-            "traj_000.csv": "67bf44900401e57f00bf10c5ebe0e55261fa042e9e3ad168b089c79a10f7dc06",
-            "traj_001.csv": "4e6a34d135c68f8500a669f8768efb10ff3f0577f8ef92b6ee670f743f877d79",
-            "traj_002.csv": "f6ecfa40014fdc043666448be954f8bd09c801b8fa9980198b600b815dd296ae",
-            "traj_003.csv": "0a1fa42a244c12e33946b12581e80611dc8da3d7498d84d2e82925f691f07157",
+            "summary.json": "b864308f17b877b3436e6565d0812e2e26728a425c0adc428bfcf13eb51947a2",
+            "traj_000.csv": "86169f36d6a0ef06e3c9ef812d8860bcfa88f50535bb23913cdc6f461241207c",
+            "traj_001.csv": "b78606c437ec08bc1e0f348d055a04f2b4fb733c5b5f07fda93f00130d6f555c",
+            "traj_002.csv": "6a3a00e56ad4fe2e6dee3423e1da8456309b5c0fe1f241efed0634ecfa3e63f8",
+            "traj_003.csv": "3952397c15a6237a25653e474326d6e5ab17e3cab767fb3d501cb2b147f500f0",
         },
     ),
     "michalewicz_10d_clamp_stall": (
         ["--objective", "michalewicz", "--dim", "10", "--trials", "3", "--seed", "4",
          "--clamp", "--stall", "20", "--traj", "all"],
         {
-            "summary.json": "0e70569fecaac6614000fab6b6905f7e3880cf1ff05de0e92b267a5005bc688f",
-            "traj_000.csv": "47d0e9cd950fdc75dbda071dd8808c468d90ec075da5939da901b3906ec8b2db",
-            "traj_001.csv": "0a40de8813086b306f6880526632c93ffd8e89b50085da6a805680e3073c0169",
-            "traj_002.csv": "e35e7f5f9c6911d55dd5b3ea3b466220a8666df6314d1af49fa6213a05000e66",
+            "summary.json": "27d0b42a34a9df221ba936c6065cb79bdd6c3558b134ecad4e61c6d346ad8dc6",
+            "traj_000.csv": "eb597ae4e6e2a2c6fe495d25c027d8ecec3beaf7a17160a5823ba5f264d26d6b",
+            "traj_001.csv": "d0aa3acff6123ee63f0f07040b12d0e8801e9327a65ca62b50f75539c27d82e1",
+            "traj_002.csv": "e6bc0f818c56fb51a52e6b0bdf13b969b5e3a6778c5ee15580786a21944792f8",
         },
     ),
     # Many trials, with ragged stops; test_golden_artifacts_across_blocks
@@ -65,15 +74,15 @@ GOLDEN = {
         ["--objective", "michalewicz", "--dim", "10", "--trials", "300", "--seed", "5",
          "--clamp", "--stall", "20", "--traj", "all"],
         {
-            "summary.json": "6fbbe57c4ee36bd4e8077d3a887e18578b146295a9dd772536afbd76aba861a6",
-            "traj_*.csv": "6f4cf287630c496394d1e347898671fbfb984b5964df34722dcef48def5413b3",
+            "summary.json": "61b2b24675b83fc4095e7f92a872b98128bcbe77a27063e62c9bca3c87d02076",
+            "traj_*.csv": "d58d9428a9b28838ba3068774dcaae1bdad022c957af41a8c9b86f5984f5a004",
         },
     ),
     "michalewicz_2d_many_trials": (
         ["--objective", "michalewicz", "--trials", "300", "--seed", "6", "--traj", "first"],
         {
-            "summary.json": "71d5b4ea94df43cc4fe245f981e381e0ec35d1b954a571162e0ae34ccf81c1ba",
-            "traj_000.csv": "b5a806aef34cb7e6eea9b7c2a0328422e165a29ff47266031ee810d1d0a5f2fa",
+            "summary.json": "b706d3151e6ab8ae2c10e815c19d091bd0cfae05a6a486784714642ceda28959",
+            "traj_000.csv": "5baa9be8d7dc65d150298b182b29715dd8da753acdacee743fe0550005c86ae3",
         },
     ),
 }
@@ -119,3 +128,60 @@ def test_golden_artifacts_across_blocks(tmp_path, monkeypatch, name):
     run_campaign(parse_config(flags + ["--out-dir", str(tmp_path)]))
     assert len(blocks) >= 3 and sum(blocks) == 300
     assert artifact_hashes(tmp_path, expected) == expected
+
+
+ORACLE_GRID = (["oracle", "grid", "--objective", "michalewicz", "--resolution", "1000"],
+               "grid: objective=michalewicz dim=2 resolution=1000 nodes=1000000\n"
+               "  best_f=-1.8011640388212249 best_x=2.204460911077523,1.5692239580994063\n")
+
+# Runs the campaigns of argv[1] (a JSON list of run flag lists), then the
+# oracle command of argv[2] through the CLI, which alone writes to stdout.
+_CHILD = """
+import json, sys
+from basopt.cli import main, parse_config, run_campaign
+for flags in json.loads(sys.argv[1]):
+    run_campaign(parse_config(flags))
+sys.exit(main(json.loads(sys.argv[2])))
+"""
+
+
+def _simd_targets(floor: str) -> str:
+    """The x86 SIMD targets this numpy dispatches to from ``floor`` (AVX-512
+    or AVX) up, space-separated; empty where it dispatches none of them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    prefixes = ("AVX512", "X86_V4")
+    if floor == "AVX":
+        prefixes += ("AVX", "F16C", "FMA3", "X86_V3")
+    return " ".join(name for name in __cpu_dispatch__ if name.startswith(prefixes))
+
+
+# (OPENBLAS_CORETYPE, lowest numpy SIMD target disabled): the kernels and
+# loops other x86-64 CPUs get. Each variable is ignored where it does not apply.
+CPU_SETTINGS = [(None, None), ("Haswell", None), ("Zen", None), ("Prescott", None),
+                ("SkylakeX", None), (None, "AVX512"), ("Haswell", "AVX512"),
+                ("Prescott", "AVX")]
+
+
+@pytest.mark.parametrize("coretype, simd_off", CPU_SETTINGS)
+def test_golden_bytes_do_not_depend_on_the_cpu(tmp_path, coretype, simd_off):
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = str(Path(basopt.__file__).parents[1])
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    disabled = _simd_targets(simd_off) if simd_off else ""
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    runs = [flags + ["--out-dir", str(tmp_path / name)] for name, (flags, _) in GOLDEN.items()]
+    # numpy reports a feature name it cannot disable by an ImportWarning
+    child = subprocess.run(
+        [sys.executable, "-W", "error::ImportWarning", "-c", _CHILD,
+         json.dumps(runs), json.dumps(ORACLE_GRID[0])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    for name, (_, expected) in GOLDEN.items():
+        assert artifact_hashes(tmp_path / name, expected) == expected, name
+    assert re.sub(r" duration=\S+", "", child.stdout) == ORACLE_GRID[1]

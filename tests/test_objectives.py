@@ -72,9 +72,16 @@ def test_michalewicz_batch_matches_scalar_bitwise():
 
 
 def _michalewicz_reference(x, m):
-    """Michalewicz as the plain expression, seven temporaries and all."""
+    """Michalewicz as plain expressions, temporaries and all, with the power
+    as the textbook left-to-right binary exponentiation of 2m."""
     i = np.arange(1, x.shape[-1] + 1, dtype=float)
-    return -np.sum(np.sin(x) * np.sin(i * x * x / np.pi) ** (2 * m), axis=-1)
+    t = np.sin(i * x * x / np.pi)
+    p = t
+    for bit in bin(2 * m)[3:]:
+        p = p * p
+        if bit == "1":
+            p = p * t
+    return -np.sum(np.sin(x) * p, axis=-1)
 
 
 def _nan_canonical_bytes(values):
@@ -96,6 +103,17 @@ def test_michalewicz_in_place_matches_reference_bitwise(k, n, m, data):
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want, equal_nan=True)
     assert _nan_canonical_bytes(got) == _nan_canonical_bytes(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 33), m=st.integers(1, 20), data=st.data())
+def test_michalewicz_power_chain_close_to_np_power(k, m, data):
+    # Each multiply of the chain rounds once and np.power is within an ulp,
+    # so a term of magnitude <= 1 differs by a few ulps of 1 at most.
+    x = data.draw(arrays(np.float64, (k,), elements=st.floats(-1e3, 1e3)))
+    i = np.arange(1, k + 1, dtype=float)
+    want = -np.sum(np.sin(x) * np.power(np.sin(i * x * x / np.pi), 2 * m))
+    assert abs(michalewicz(x, m) - want) <= 1e-14 * k
 
 
 # ---------------------------------------------------------------------------
