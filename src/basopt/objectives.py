@@ -5,6 +5,15 @@ The raw functions accept a single point of shape (k,) or a batch of shape
 dimension, a default initialization box, and the known optimum where one is
 established. All functions are pure and row-wise. ``Objective.batch`` splits
 a large batch into contiguous row ranges evaluated on the usable CPUs.
+
+A batch of k = 2 to 7 coordinates and at least ``_COLUMN_ROWS * k`` rows goes
+through ``michalewicz`` and ``sphere`` in column layout: every step works on
+the k rows of ``x.T``, a view, so each numpy call loops over the n points and
+none over a k-wide axis, and the row sums become a left-to-right fold of the
+columns from 0.0. That is the order in which ``np.add.reduce`` adds a row of
+fewer than 8 terms, so the values are the row layout's, bit for bit. From 8
+terms on numpy sums pairwise, so wider batches keep the row layout, as do
+single points and smaller batches.
 """
 
 from __future__ import annotations
@@ -25,11 +34,23 @@ MICHALEWICZ_2D_ARGMIN = (2.202905513296628, 1.570796322320509)
 MICHALEWICZ_2D_MIN = -1.8013034100985499
 
 # Elements (rows * k) per range of a split ``Objective.batch``. Starting and
-# joining a thread costs about 0.1 ms. On a 2-CPU VM (numpy 2.4), two ranges
-# of 2^15 elements take 0.51x the serial 3.5 ms for Michalewicz, 0.82x for
-# sphere and about break even for Goldstein-Price, both five times cheaper.
-# Two ranges of 2^14 would take 0.72x for Michalewicz, but 1.14x and 1.38x.
+# joining a thread costs about 0.15 ms, and up to 0.7 ms when the host is
+# busy. On a 2-CPU VM (numpy 2.4), two ranges of 2^15 elements take
+# 0.67-0.72x the serial 3.3 ms for 2-D Michalewicz, 1.0-1.2x for
+# Goldstein-Price (a third of its cost) and 3-4.5x for 2-D sphere (a
+# thirtieth in column layout). Two ranges of 2^14 would take 0.80-1.15x for
+# Michalewicz.
 _MIN_PART = 1 << 15
+
+# Rows per coordinate from which a batch of k = 2 to 7 coordinates is
+# evaluated in column layout. Its numpy calls cost more to start: on a 2-CPU
+# VM (numpy 2.4) a 1-row 2-D Michalewicz call takes 19 us in columns against
+# 15 us in rows, and a 100-iteration single-trial `run` (1- and 2-row
+# batches) 7-14% more. The layouts break even at about 180 rows for k = 2,
+# 240 for k = 3 and 500-1000 for k = 7. At 32768 rows columns take 0.79x the
+# time for 2-D Michalewicz, 0.86x for 3-D and 0.13x for 2-D sphere. With
+# k = 1 there is no k-wide loop to save, and columns only cost.
+_COLUMN_ROWS = 100
 
 
 def michalewicz(x, m: int = 10) -> float | Array:
@@ -45,12 +66,15 @@ def michalewicz(x, m: int = 10) -> float | Array:
     if m < 1:
         raise ValueError(f"steepness m must be >= 1, got {m}")
     i = np.arange(1, x.shape[-1] + 1, dtype=float)
+    columns = _in_columns(x)
+    if columns:
+        x, i = x.T, i[:, None]
     # -sum(sin(x) * sin(i * x * x / pi) ** (2m)) in two buffers, with the power
     # by left-to-right binary exponentiation: after the leading 1 of 2m, each
     # bit squares p and a 1 bit then multiplies it by t (m = 10: t^2, t^4,
     # t^5, t^10, t^20). Every step is a correctly rounded multiplication, so
     # the bits, unlike those of numpy's power loop, do not depend on the CPU.
-    t = i * x
+    t = np.multiply(i, x, order="C")
     t *= x
     t /= np.pi
     np.sin(t, out=t)
@@ -62,6 +86,9 @@ def michalewicz(x, m: int = 10) -> float | Array:
             p *= t
     np.sin(x, out=t)
     t *= p
+    if columns:
+        total = _column_sums(t)
+        return np.negative(total, out=total)
     return -np.add.reduce(t, axis=-1)
 
 
@@ -87,7 +114,23 @@ def sphere(x) -> float | Array:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] < 1:
         raise ValueError("sphere needs at least one coordinate")
+    if _in_columns(x):
+        return _column_sums(np.multiply(x.T, x.T, order="C"))
     return np.add.reduce(x * x, axis=-1)
+
+
+def _in_columns(x: Array) -> bool:
+    """Whether ``x`` is a batch to evaluate in column layout (module docstring)."""
+    return x.ndim == 2 and 1 < x.shape[1] < 8 and len(x) >= _COLUMN_ROWS * x.shape[1]
+
+
+def _column_sums(terms: Array) -> Array:
+    """The sums of the columns of a (k, n) array with k < 8, each added from
+    0.0 down the rows: ``np.add.reduce(terms.T, axis=-1)``, bit for bit."""
+    total = terms[0] + 0.0
+    for row in terms[1:]:
+        total += row
+    return total
 
 
 @dataclass(frozen=True)

@@ -88,17 +88,49 @@ def _nan_canonical_bytes(values):
     return np.where(np.isnan(values), np.nan, values).tobytes()
 
 
+@contextmanager
+def _column_rows(rows):
+    """``michalewicz`` and ``sphere`` taking the column layout from ``rows``
+    rows per coordinate (0: every batch of 2 to 7 coordinates)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objectives, "_COLUMN_ROWS", rows)
+        yield
+
+
+def _read_only(x):
+    x = x.copy()
+    x.flags.writeable = False
+    return x
+
+
+# Memory layouts of the same values that an objective must accept.
+_LAYOUTS = {
+    "C": lambda x: x,
+    "Fortran": np.asfortranarray,
+    "rows[::2]": lambda x: np.repeat(x, 2, axis=0)[::2],
+    "read-only": _read_only,
+}
+
+
+# k = 1..33, with 7 and 8 drawn more often: the widest rows that numpy adds
+# left to right, as the column layout does, and the narrowest it sums pairwise.
+_WIDTHS = st.one_of(st.integers(1, 33), st.sampled_from([7, 8]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(k=st.integers(1, 33), n=st.one_of(st.none(), st.integers(0, 300)),
-       m=st.sampled_from([1, 2, 10]), data=st.data())
-def test_michalewicz_in_place_matches_reference_bitwise(k, n, m, data):
+@given(k=_WIDTHS, n=st.one_of(st.none(), st.integers(0, 300)),
+       m=st.sampled_from([1, 2, 10]), layout=st.sampled_from(sorted(_LAYOUTS)),
+       column_rows=st.sampled_from([0, objectives._COLUMN_ROWS]), data=st.data())
+def test_michalewicz_in_place_matches_reference_bitwise(k, n, m, layout, column_rows, data):
     coords = st.one_of(st.floats(-1e6, 1e6),
                        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
-    x = data.draw(arrays(np.float64, (k,) if n is None else (n, k), elements=coords))
+    values = data.draw(arrays(np.float64, (k,) if n is None else (n, k), elements=coords))
+    x = _LAYOUTS[layout](values)
     before = x.tobytes()
     with np.errstate(invalid="ignore", over="ignore"):
-        got = michalewicz(x, m)
-        want = _michalewicz_reference(x, m)
+        with _column_rows(column_rows):
+            got = michalewicz(x, m)
+        want = _michalewicz_reference(values, m)
     assert x.tobytes() == before
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want, equal_nan=True)
@@ -174,6 +206,40 @@ def test_sphere_values():
     assert sphere(np.zeros(4)) == 0.0
     assert sphere(np.array([3.0, 4.0])) == 25.0
     assert np.array_equal(sphere(np.array([[1.0, 0.0], [1.0, 1.0]])), [1.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=_WIDTHS, n=st.one_of(st.none(), st.integers(0, 300)),
+       column_rows=st.sampled_from([0, objectives._COLUMN_ROWS]), data=st.data())
+def test_sphere_matches_reduce_of_squares_bitwise(k, n, column_rows, data):
+    coords = st.one_of(st.floats(-1e300, 1e300),
+                       st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    x = data.draw(arrays(np.float64, (k,) if n is None else (n, k), elements=coords))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with _column_rows(column_rows):
+            got = sphere(x)
+        want = np.add.reduce(x * x, axis=-1)
+    assert np.shape(got) == np.shape(want)
+    assert _nan_canonical_bytes(got) == _nan_canonical_bytes(want)
+
+
+# ---------------------------------------------------------------------------
+# column layout
+
+_MAGNITUDES = st.floats(0.0, 16.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 7), n=st.integers(0, 50), data=st.data())
+def test_column_sums_add_in_the_order_of_reduce(k, n, data):
+    """Summed as the columns of ``x.T``, the rows of ``x`` give the bits of
+    ``np.add.reduce``; terms of either sign between 1 and 1e16 round
+    differently in almost any other order, and signed zeros check the 0.0
+    the sums start from."""
+    terms = st.one_of(_MAGNITUDES, _MAGNITUDES.map(lambda v: -v), st.sampled_from([0.0, -0.0]))
+    x = data.draw(arrays(np.float64, (n, k), elements=terms))
+    got = objectives._column_sums(np.ascontiguousarray(x.T))
+    assert got.tobytes() == np.add.reduce(x, axis=-1).tobytes()
 
 
 # ---------------------------------------------------------------------------
