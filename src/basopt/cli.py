@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -25,8 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (BasConfig, ObjectiveError, RunResult, ScheduleSpec,
-                   derive_trial_seed, run_trials)
-from .core import run  # noqa: F401  (kept importable here; perfbench/tracer.py wraps it)
+                   derive_trial_seeds, run_trials)
+# Kept importable here; perfbench/tracer.py wraps them.
+from .core import derive_trial_seed, run  # noqa: F401
 from .objectives import lookup_objective, objective_names
 from .oracle import GridSpec, grid_search, random_search_baseline
 
@@ -295,17 +297,39 @@ def emit_summary(summary: CampaignSummary, path) -> None:
     """JSON document with config echo, per-trial results, and aggregates.
 
     Keys are sorted and the wall-clock duration is deliberately left out,
-    so identical configs produce byte-identical files.
+    so identical configs produce byte-identical files. The bytes are those of
+    ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"``:
+    ``config`` and ``aggregate`` go through ``json.dumps``, and the trials,
+    the bulk of the file, through ``_trials_json``.
     """
-    doc = {
-        "config": summary.config,
-        "trials": [{"trial": i, "seed": t.seed, "f_bst": t.f_bst, "x_bst": t.x_bst,
-                    "evals": t.evals, "termination": t.termination}
-                   for i, t in enumerate(summary.trials)],
+    head = json.dumps({
         "aggregate": {name: getattr(summary, name)
                       for name in ("best", "median", "mean", "std", "total_evals")},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        "config": summary.config,
+    }, indent=2, sort_keys=True, allow_nan=False)
+    # "trials" sorts last, so it goes in front of the document's closing brace.
+    Path(path).write_text(f'{head[:-2]},\n  "trials": {_trials_json(summary.trials)}\n}}\n')
+
+
+def _trials_json(trials: Sequence[RunResult]) -> str:
+    """The trials array as ``json.dumps`` writes it two levels deep with
+    ``indent=2, sort_keys=True, allow_nan=False``: floats by ``float.__repr__``,
+    ints by ``int.__repr__``, and the same ``ValueError`` for a value that is
+    not finite."""
+    items = []
+    for i, t in enumerate(trials):
+        for value in (t.f_bst, *t.x_bst):
+            if not math.isfinite(value):
+                raise ValueError("Out of range float values are not JSON compliant: "
+                                 + repr(value))
+        x_bst = ",\n        ".join(map(float.__repr__, t.x_bst))
+        items.append(f'{{\n      "evals": {int.__repr__(t.evals)},\n'
+                     f'      "f_bst": {float.__repr__(t.f_bst)},\n'
+                     f'      "seed": {int.__repr__(t.seed)},\n'
+                     f'      "termination": {json.dumps(t.termination)},\n'
+                     f'      "trial": {int.__repr__(i)},\n'
+                     f'      "x_bst": [\n        {x_bst}\n      ]\n    }}')
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 @contextmanager
@@ -352,7 +376,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     objective = lookup_objective(cfg.objective, cfg.dim)
     with _staged(cfg.out_dir) as out_dir:
         started = time.perf_counter()
-        seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.trials)]
+        seeds = derive_trial_seeds(cfg.seed, cfg.trials)
         written = range({"all": cfg.trials, "first": 1, "none": 0}[cfg.traj])
         schedule_text = {}  # shared by the trajectories: every trial has one schedule
         rowless = np.empty((0, 4 + cfg.dim))  # a written trial's trajectory in the

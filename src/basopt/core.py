@@ -17,9 +17,18 @@ as one ``(n, k)`` array, one ``Objective.batch`` call for all antenna tips
 and one for all new positions per iteration, and reproduces the reference
 bit for bit (each trial keeps its own generator and the same arithmetic).
 A block takes as many consecutive trials as fit a 1 MiB budget for their
-direction chunks and, for recorded trials, their history; neither the block
-partition nor the chunk length enters any trial's arithmetic. ``run`` is
-its single-trial case.
+direction chunks and, for recorded trials, as many history rows, a history
+that doubles only while the search runs on; neither the block partition
+nor the chunk length enters any trial's arithmetic. ``run`` is its
+single-trial case.
+
+A block's per-trial set-up is done for the block at once: the generators'
+``SeedSequence`` hashes on uint32 arrays (``_seed_states``, also behind a
+campaign's ``derive_trial_seeds``), then each generator fills its row of
+start points and, per chunk, its slice of directions with
+``random(out=...)``, and array expressions over the block scale them.
+``default_rng``, ``derive_trial_seed``, ``init_position`` and
+``sample_direction`` are the references these reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -241,24 +250,34 @@ def sample_direction(k: int, rng: np.random.Generator) -> Array:
             return v / norm
 
 
-def sample_directions(k: int, rng: np.random.Generator, count: int) -> Array:
-    """``count`` consecutive ``sample_direction(k, rng)`` draws as a (count, k) array.
+def sample_directions(rngs: Sequence[np.random.Generator], out: Array) -> None:
+    """Fill ``out[i]``, a (count, k) slice, with ``count`` consecutive
+    ``sample_direction(k, rngs[i])`` draws, for every generator at once.
 
-    One ``uniform`` call of shape (count, k) consumes the same stream as
-    ``count`` calls of size k, and each row's norm is the same ``np.add``
+    Each generator fills its C-contiguous slice with ``random(out=...)``, which
+    takes the same doubles from its stream as ``uniform(-1, 1)`` of that shape;
+    ``u *= 2; u -= 1`` is then the ``-1 + 2*u`` that ``uniform`` computes, bit
+    for bit, as ``2*u`` is exact. Every row's norm is the same ``np.add``
     reduction of squares that ``sample_direction`` applies to a single vector,
     so the rows match the one-at-a-time draws bit for bit. Neither calls BLAS,
-    whose kernel depends on the CPU. A row short enough to be rejected shifts
-    the stream, so then the generator is rewound and the chunk is drawn one
-    direction at a time.
+    whose kernel depends on the CPU. A row short enough to be rejected is
+    dropped: the slice keeps its accepted rows in order and draws the missing
+    ones with ``sample_direction``, which leaves the stream where one-at-a-time
+    draws would have left it.
     """
-    state = rng.bit_generator.state
-    v = rng.uniform(-1.0, 1.0, size=(count, k))
-    norms = np.sqrt(np.add.reduce(v * v, axis=-1))
-    if norms.min() >= _MIN_DIRECTION_NORM:
-        return v / norms[:, None]
-    rng.bit_generator.state = state
-    return np.array([sample_direction(k, rng) for _ in range(count)])
+    for rng, u in zip(rngs, out):
+        rng.random(out=u)
+    out *= 2.0
+    out -= 1.0
+    norms = np.sqrt(np.add.reduce(out * out, axis=-1))
+    short = norms < _MIN_DIRECTION_NORM
+    norms[short] = 1.0
+    out /= norms[..., None]
+    for i in np.flatnonzero(short.any(axis=-1)):
+        accepted = out[i][~short[i]]
+        out[i, :len(accepted)] = accepted
+        for row in range(len(accepted), out.shape[1]):
+            out[i, row] = sample_direction(out.shape[2], rngs[i])
 
 
 def antenna_probe(x: Array, d: float, b: Array) -> tuple[Array, Array]:
@@ -385,12 +404,14 @@ def _blocks(config: BasConfig, kept: Sequence[bool]) -> Iterator[range]:
     """Split the trials into consecutive ranges whose engine arrays fit
     ``_BLOCK_BYTES``; a trial too large for the budget runs alone.
 
-    A trial costs its chunk of directions, plus its history if ``kept``
-    (``max_iters`` trajectory rows of ``4 + k`` floats).
+    A trial costs its chunk of directions, plus, if ``kept``, as many
+    trajectory rows of ``4 + k`` floats: the history ``_run_block`` allocates
+    first, and doubles only for a search that outruns it.
     """
     k = config.dimension
-    directions = 8 * k * min(config.max_iters, _DIRECTION_CHUNK)
-    history = 8 * config.max_iters * (4 + k)
+    chunk = min(config.max_iters, _DIRECTION_CHUNK)
+    directions = 8 * k * chunk
+    history = 8 * chunk * (4 + k)
     first, size = 0, 0
     for i, keep in enumerate(kept):
         cost = directions + (history if keep else 0)
@@ -400,6 +421,19 @@ def _blocks(config: BasConfig, kept: Sequence[bool]) -> Iterator[range]:
         size += cost
     if kept:
         yield range(first, len(kept))
+
+
+def _start_points(config: BasConfig, rngs: Sequence[np.random.Generator]) -> Array:
+    """``init_position(config, rng)`` for every generator, as one (n, k) array:
+    each generator fills its row with ``random(out=...)``, and one
+    ``lo + (hi - lo) * u`` over the block is ``init_position``'s arithmetic."""
+    if config.x0 is not None:
+        return np.tile(config.x0, (len(rngs), 1))
+    u = np.empty((len(rngs), config.dimension))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    box = np.asarray(config.init_box, dtype=float)
+    return box[:, 0] + (box[:, 1] - box[:, 0]) * u
 
 
 def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
@@ -414,8 +448,8 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     non-finite objective value already becomes an ``ObjectiveError``.
     """
     n, k = len(seeds), config.dimension
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    x = np.array([init_position(config, rng) for rng in rngs])
+    rngs = _generators(seeds)
+    x = _start_points(config, rngs)
     failures = {}
     active = np.arange(n)
     x_bst = x.copy()
@@ -424,13 +458,17 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     termination = [TERM_MAX_ITERS] * n
     clamp = None if config.clamp_box is None else np.asarray(config.clamp_box, dtype=float)
 
+    chunk = min(config.max_iters, _DIRECTION_CHUNK)
+    # A chunk's directions are stored for the rows active at its start, in
+    # order: those of row r are directions[place[r]].
+    directions = np.empty((n, chunk, k))
+    place = np.zeros(n, dtype=int)
     # Trajectories of the kept rows: slot[row] indexes hist, -1 if not kept.
+    # hist holds the first chunk's rows and doubles when the search outruns it.
     slot = np.where(keep, np.cumsum(keep) - 1, -1)
     n_keep = int(keep.sum())
-    hist = np.empty((n_keep, config.max_iters, 4 + k))
+    hist = np.empty((n_keep, chunk, 4 + k))
 
-    chunk = min(config.max_iters, _DIRECTION_CHUNK)
-    directions = np.empty((n, chunk, k))
     d, delta = config.d0, config.delta0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_bst = _values(objective, x)
@@ -441,9 +479,14 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
             j = t % chunk
             if j == 0:
                 count = min(chunk, config.max_iters - t)
-                for row in active:
-                    directions[row, :count] = sample_directions(k, rngs[row], count)
-            b = directions[active, j]
+                sample_directions([rngs[row] for row in active],
+                                  directions[:active.size, :count])
+                place[active] = np.arange(active.size)
+                if t == hist.shape[1]:
+                    grown = np.empty((n_keep, min(2 * t, config.max_iters), 4 + k))
+                    grown[:, :t] = hist
+                    hist = grown
+            b = directions[place[active], j]
             xa = x[active]
             offset = d * b
             x_r, x_l = xa + offset, xa - offset
@@ -527,9 +570,132 @@ def run(config: BasConfig, objective: ObjectiveFn) -> RunResult:
 
 
 def derive_trial_seed(master_seed: int, trial: int) -> int:
-    """Independent per-trial seed from (master seed, trial index).
+    """Independent per-trial seed from (master seed, trial index):
+    ``SeedSequence((master_seed, trial)).generate_state(1, np.uint64)``.
 
     Stable regardless of how many trials run or in what order, so campaigns
     can be parallelized or re-ordered without changing any single result.
+    This is the reference for ``derive_trial_seeds``, which a campaign uses.
     """
     return int(np.random.SeedSequence((master_seed, trial)).generate_state(1, np.uint64)[0])
+
+
+def derive_trial_seeds(master_seed: int, trials: int) -> list:
+    """``[derive_trial_seed(master_seed, i) for i in range(trials)]``, as
+    Python ints, hashed for all trials at once (``_seed_states``). A master
+    seed that is not a non-negative int goes to ``derive_trial_seed``, which
+    raises what ``SeedSequence`` raises for it."""
+    if not _is_plain_seed(master_seed):
+        return [derive_trial_seed(master_seed, i) for i in range(trials)]
+    return _seed_states((int(master_seed),), range(trials), 1)[:, 0].tolist()
+
+
+def _generators(seeds: Sequence[int]) -> list:
+    """``np.random.default_rng(seed)`` for every seed. The PCG64 state words
+    of all the seeds come from one ``_seed_states`` pass; a seed that is not
+    a non-negative int sends the block to ``default_rng`` itself, which
+    accepts or rejects it as it always did."""
+    from numpy.random import PCG64, Generator, default_rng
+    from numpy.random.bit_generator import ISeedSequence
+
+    if not all(map(_is_plain_seed, seeds)):
+        return [default_rng(seed) for seed in seeds]
+
+    class StateWords(ISeedSequence):
+        """Hands ``PCG64`` the four uint64 words it asks of a ``SeedSequence``."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    words = _seed_states((), [int(seed) for seed in seeds], 4)
+    return [Generator(PCG64(StateWords(row))) for row in words]
+
+
+def _is_plain_seed(seed) -> bool:
+    return isinstance(seed, (int, np.integer)) and seed >= 0
+
+
+# numpy.random.SeedSequence's pool size and published hash constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_states(head: tuple, values: Sequence[int], n_words: int) -> Array:
+    """``SeedSequence((*head, v)).generate_state(n_words, np.uint64)`` for
+    every non-negative int ``v`` in ``values``, as one (len(values), n_words)
+    C-ordered uint64 array; ``head`` holds non-negative ints too.
+
+    ``SeedSequence``'s entropy is the little-endian 32-bit words of each int
+    in turn (one word for 0). Values with as many words are hashed together,
+    every step on a uint32 array with one element per value: the hash
+    constants advance the same way whatever the data, so they stay Python
+    ints, and array arithmetic wraps modulo 2^32 as ``SeedSequence``'s does.
+    """
+    head_bytes = b"".join(map(_entropy_bytes, head))
+    groups = {}  # entropy length -> (rows, entropy bytes of each row)
+    for row, v in enumerate(values):
+        data = _entropy_bytes(v)
+        rows, entropy = groups.setdefault(len(data), ([], []))
+        rows.append(row)
+        entropy.append(head_bytes + data)
+    out = np.empty((len(values), n_words), dtype=np.uint64)
+    for rows, entropy in groups.values():
+        words = np.frombuffer(b"".join(entropy), dtype="<u4").reshape(len(rows), -1)
+        state = _generate_state(_mix_entropy(list(words.T)), 2 * n_words)
+        out[rows] = (state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << 32).T
+    return out
+
+
+def _entropy_bytes(value: int) -> bytes:
+    return value.to_bytes(4 * max(1, -(-value.bit_length() // 32)), "little")
+
+
+def _mix_entropy(entropy: list) -> list:
+    """``SeedSequence.mix_entropy``: the 4-word pool of every column of the
+    entropy words (a list of equal-length uint32 arrays)."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        return value
+
+    zeros = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _mix(x: Array, y: Array) -> Array:
+    result = x * _MIX_MULT_L
+    result -= y * _MIX_MULT_R
+    result ^= result >> 16
+    return result
+
+
+def _generate_state(pool: list, n_words: int) -> Array:
+    """``SeedSequence.generate_state(n_words, np.uint32)`` of every column of
+    the pool, as an (n_words, columns) uint32 array."""
+    out = np.empty((n_words, len(pool[0])), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i, word in enumerate(out):
+        np.bitwise_xor(pool[i % _POOL_SIZE], hash_const, out=word)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word *= hash_const
+        word ^= word >> 16
+    return out

@@ -4,7 +4,8 @@ The raw functions accept a single point of shape (k,) or a batch of shape
 (n, k) and reduce over the last axis; ``Objective`` wraps them with a bound
 dimension, a default initialization box, and the known optimum where one is
 established. All functions are pure and row-wise. ``Objective.batch`` splits
-a large batch into contiguous row ranges evaluated on the usable CPUs.
+a large batch of an objective that gains from it into contiguous row ranges
+evaluated on the usable CPUs.
 
 A batch of k = 2 to 7 coordinates and at least ``_COLUMN_ROWS * k`` rows goes
 through ``michalewicz`` and ``sphere`` in column layout: every step works on
@@ -33,13 +34,11 @@ Array = np.ndarray
 MICHALEWICZ_2D_ARGMIN = (2.202905513296628, 1.570796322320509)
 MICHALEWICZ_2D_MIN = -1.8013034100985499
 
-# Elements (rows * k) per range of a split ``Objective.batch``. Starting and
+# Elements (rows * k) per range of a split Michalewicz batch. Starting and
 # joining a thread costs about 0.15 ms, and up to 0.7 ms when the host is
 # busy. On a 2-CPU VM (numpy 2.4), two ranges of 2^15 elements take
-# 0.67-0.72x the serial 3.3 ms for 2-D Michalewicz, 1.0-1.2x for
-# Goldstein-Price (a third of its cost) and 3-4.5x for 2-D sphere (a
-# thirtieth in column layout). Two ranges of 2^14 would take 0.80-1.15x for
-# Michalewicz.
+# 0.58-0.72x the serial 3.4 ms for 2-D Michalewicz; two ranges of 2^14 would
+# take 0.80-1.15x. Cheaper objectives split from larger batches (``_REGISTRY``).
 _MIN_PART = 1 << 15
 
 # Rows per coordinate from which a batch of k = 2 to 7 coordinates is
@@ -141,10 +140,11 @@ class Objective:
     value depends only on row i, whatever the other rows. It must be safe to
     call from several threads at once. Calling the objective evaluates a
     single point and returns a builtin float; ``batch`` maps an (n, k) array
-    of points to an (n,) array of values. A batch is cut into contiguous row
-    ranges, at most one per usable CPU and per ``_MIN_PART`` elements, and
-    ``fn`` runs on each range in a thread of its own; by the contract above
-    the values are those of one ``fn`` call, bit for bit.
+    of points to an (n,) array of values. A batch of at least ``split_from``
+    elements (``n * k``; never if None) is cut into contiguous row ranges, at
+    most one per usable CPU and per ``split_from / 2`` elements, and ``fn``
+    runs on each range in a thread of its own; by the contract above the
+    values are those of one ``fn`` call, bit for bit.
     """
 
     name: str
@@ -152,6 +152,7 @@ class Objective:
     fn: Callable[[Array], float | Array]
     init_box: tuple
     known_optimum: Optional[tuple] = None  # ((coords...), value)
+    split_from: Optional[int] = None
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -165,9 +166,9 @@ class Objective:
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError(
                 f"{self.name} expects points of shape (n, {self.dimension}), got {points.shape}")
-        parts = min(points.size // _MIN_PART, len(points))
-        if parts > 1:
-            parts = min(parts, _usable_cpus())
+        parts = 1
+        if self.split_from is not None and points.size >= self.split_from:
+            parts = min(2 * points.size // self.split_from, len(points), _usable_cpus())
         if parts < 2:
             return np.asarray(self.fn(points), dtype=float)
         return _split_batch(self.fn, points, parts)
@@ -210,12 +211,21 @@ def _split_batch(fn, points: Array, parts: int) -> Array:
 
 
 # name -> (function, fixed dimension or None for any k >= 1, (lo, hi) of every
-# axis of the default box, known optimum at dimension k or None)
+# axis of the default box, known optimum at dimension k or None, elements from
+# which a batch splits across CPUs). The cheaper an element, the larger a
+# batch must be before two threads beat one. On a 2-CPU VM (numpy 2.4), split
+# in two, Goldstein-Price takes 1.06-1.08x its serial time at 2^16 elements
+# and 0.73-0.91x at 2^17. Sphere, a thirtieth of Michalewicz's cost per
+# element in column layout, takes 2.0-2.3x at 2^17 elements (2-D), about 1.0x
+# at 2^19 (2-D) and 0.84x at 3 * 2^18 (3-D); in row layout (k >= 8) 1.13x at
+# 10 * 2^14 and 0.67-0.74x from 10 * 2^15 (10-D).
 _REGISTRY = {
     "michalewicz": (michalewicz, None, (0.0, np.pi),
-                    lambda k: (MICHALEWICZ_2D_ARGMIN, MICHALEWICZ_2D_MIN) if k == 2 else None),
-    "goldstein_price": (goldstein_price, 2, (-2.0, 2.0), lambda k: ((0.0, -1.0), 3.0)),
-    "sphere": (sphere, None, (-1.0, 1.0), lambda k: ((0.0,) * k, 0.0)),
+                    lambda k: (MICHALEWICZ_2D_ARGMIN, MICHALEWICZ_2D_MIN) if k == 2 else None,
+                    2 * _MIN_PART),
+    "goldstein_price": (goldstein_price, 2, (-2.0, 2.0), lambda k: ((0.0, -1.0), 3.0),
+                        1 << 17),
+    "sphere": (sphere, None, (-1.0, 1.0), lambda k: ((0.0,) * k, 0.0), 1 << 19),
 }
 
 
@@ -228,11 +238,11 @@ def lookup_objective(name: str, dimension: int) -> Objective:
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown objective {name!r}; valid names: {', '.join(objective_names())}")
-    fn, fixed_dim, axis, optimum = _REGISTRY[name]
+    fn, fixed_dim, axis, optimum, split_from = _REGISTRY[name]
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if fixed_dim is not None and dimension != fixed_dim:
         raise ValueError(
             f"{name} is defined for dimension {fixed_dim} only, got {dimension}")
     return Objective(name=name, dimension=dimension, fn=fn, init_box=(axis,) * dimension,
-                     known_optimum=optimum(dimension))
+                     known_optimum=optimum(dimension), split_from=split_from)

@@ -22,9 +22,11 @@ import basopt
 from basopt import objectives
 from basopt import BasConfig, ObjectiveError, RunResult, derive_trial_seed, lookup_objective, run
 from basopt.cli import (
+    CampaignSummary,
     ConfigError,
     ExperimentConfig,
     config_echo,
+    emit_summary,
     emit_trajectory,
     format_box_spec,
     main,
@@ -499,6 +501,64 @@ def test_summary_file_round_trips_the_campaign(tmp_path):
     assert (dir1 / "summary.json").read_bytes() == (dir2 / "summary.json").read_bytes()
 
 
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     1e308, -1e308, 1.7976931348623157e308]))
+
+
+def _summary_doc(summary: CampaignSummary) -> dict:
+    """The summary as a document for ``json.dumps``: the writer's reference."""
+    return {
+        "config": summary.config,
+        "trials": [{"trial": i, "seed": t.seed, "f_bst": t.f_bst, "x_bst": t.x_bst,
+                    "evals": t.evals, "termination": t.termination}
+                   for i, t in enumerate(summary.trials)],
+        "aggregate": {name: getattr(summary, name)
+                      for name in ("best", "median", "mean", "std", "total_evals")},
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 12), n=st.integers(1, 6), data=st.data())
+def test_summary_writer_matches_json_dumps(k, n, data):
+    """``emit_summary`` writes the bytes of ``json.dumps(doc, indent=2,
+    sort_keys=True, allow_nan=False)`` and raises its ``ValueError`` for a
+    trial value that is not finite."""
+    values = [data.draw(st.lists(_JSON_FLOATS, min_size=k + 1, max_size=k + 1))
+              for _ in range(n)]
+    bad = data.draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, k),
+                                          st.sampled_from([np.inf, -np.inf, np.nan])))
+    if bad is not None:  # position 0 is f_bst, the others x_bst
+        values[bad[0]][bad[1]] = bad[2]
+    trials = tuple(
+        RunResult(trajectory=np.empty((0, 4 + k)), x_bst=tuple(v[1:]), f_bst=v[0],
+                  evals=data.draw(st.integers(1, 10 ** 12)),
+                  termination=data.draw(st.sampled_from(
+                      [basopt.TERM_MAX_ITERS, basopt.TERM_TARGET, basopt.TERM_STALLED])),
+                  seed=data.draw(st.integers(0, 2 ** 64 - 1)))
+        for v in values)
+    best, median, mean, std = data.draw(st.lists(_JSON_FLOATS, min_size=4, max_size=4))
+    summary = CampaignSummary(
+        config=config_echo(ExperimentConfig(objective="sphere", dim=k)), trials=trials,
+        best=best, median=median, mean=mean, std=std,
+        total_evals=data.draw(st.integers(0, 10 ** 15)), duration_s=1.0)
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = Path(out_dir) / "summary.json"
+        try:
+            want = json.dumps(_summary_doc(summary), indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
+        except ValueError as err:
+            assert bad is not None
+            with pytest.raises(ValueError) as exc:
+                emit_summary(summary, path)
+            assert str(exc.value) == str(err)
+            return
+        assert bad is None
+        emit_summary(summary, path)
+        assert path.read_bytes() == want.encode()
+
+
 def test_summary_json_structure(tmp_path):
     run_campaign(_cfg(tmp_path, objective="sphere", trials=2, seed=5))
     doc = json.loads((tmp_path / "summary.json").read_text())
@@ -628,17 +688,27 @@ def test_oracle_errors_name_their_flag(tmp_path, argv, error):
 
 
 def test_out_of_memory_is_one_error_line(tmp_path):
-    """The history of one 10^9-iteration trial needs 44.7 GiB; under a 2 GiB
-    address-space limit its allocation fails, and that is one error line."""
+    """The history of a recorded 10^5-D trial doubles while it runs, by
+    0.8 MB a row; under a 2 GiB address-space limit one doubling fails within
+    a few thousand of its 10^9 iterations, and that is one error line."""
     limit = 2 << 30
     proc = _run_module(
-        ["run", "--objective", "sphere", "--iters", "1000000000", "--traj", "first",
-         "--out-dir", str(tmp_path / "out")], tmp_path,
+        ["run", "--objective", "sphere", "--dim", "100000", "--iters", "1000000000",
+         "--traj", "first", "--out-dir", str(tmp_path / "out")], tmp_path,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded(tmp_path):
+    """``numpy.random`` costs about 12 ms to import; only a search loads it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, basopt.cli; print('numpy.random' in sys.modules)"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_invalid_config_creates_no_out_dir(tmp_path, capsys):

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from basopt import BasConfig, ObjectiveError, ScheduleSpec, derive_trial_seed, run
 from basopt.core import (
     SearchState,
+    _generators,
     advance_schedule,
     antenna_probe,
     bas_iterate,
+    derive_trial_seeds,
     detect_step,
     init_position,
+    run_trials,
     sample_direction,
 )
 from basopt.objectives import sphere
@@ -450,3 +453,37 @@ def test_trial_seed_derivation_stable():
     assert seeds == [derive_trial_seed(42, i) for i in range(5)]
     assert len(set(seeds)) == 5
     assert derive_trial_seed(42, 0) != derive_trial_seed(43, 0)
+
+
+# Masters at the edges of 1, 2 and 3 entropy words, and far beyond.
+_MASTERS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64 + 5, 2 ** 200]
+
+
+@settings(max_examples=60, deadline=None)
+@given(master=st.sampled_from(_MASTERS) | st.integers(0, 2 ** 96), trials=st.integers(1, 300))
+def test_block_trial_seeds_equal_derive_trial_seed(master, trials):
+    seeds = derive_trial_seeds(master, trials)
+    assert seeds == [derive_trial_seed(master, i) for i in range(trials)]
+    assert all(type(seed) is int for seed in seeds)
+
+
+# Seeds of 1, 2 and 3 entropy words; each group's rows are hashed together.
+_SEEDS = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1),
+                   st.integers(2 ** 64, 2 ** 96 - 1), st.sampled_from(_MASTERS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(_SEEDS, min_size=1, max_size=40))
+def test_block_generators_equal_default_rng(seeds):
+    for seed, rng in zip(seeds, _generators(seeds)):
+        assert rng.random(64).tobytes() == np.random.default_rng(seed).random(64).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.bool_(True), "7"])
+def test_block_generators_reject_seeds_as_default_rng_does(seed):
+    with pytest.raises(Exception) as want:
+        np.random.default_rng(seed)
+    config = BasConfig(dimension=1, x0=(0.0,), max_iters=2)
+    with pytest.raises(type(want.value)) as got:
+        list(run_trials(config, sphere, [3, seed]))
+    assert str(got.value) == str(want.value)

@@ -1,6 +1,7 @@
 """The lockstep engine against the single-step reference, bit for bit."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,9 +126,10 @@ def test_trajectories_are_read_only_copies():
 
 
 def _trial_bytes(config: BasConfig, kept: bool) -> int:
-    """The engine's arrays for one trial: a chunk of directions, plus history."""
-    k, iters = config.dimension, config.max_iters
-    return 8 * k * min(iters, core._DIRECTION_CHUNK) + (8 * iters * (4 + k) if kept else 0)
+    """The engine's arrays for one trial: a chunk of directions, plus as many
+    history rows if kept."""
+    k, chunk = config.dimension, min(config.max_iters, core._DIRECTION_CHUNK)
+    return 8 * k * chunk + (8 * chunk * (4 + k) if kept else 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,6 +159,23 @@ def test_block_sizes_of_the_campaign_workloads():
     assert list(core._blocks(mich2d, [False] * 200)) == [range(200)]
     mich10d = BasConfig(dimension=10, x0=(0.0,) * 10, max_iters=100)
     assert [len(b) for b in core._blocks(mich10d, [True] * 500)] == [54] * 9 + [14]
+
+
+def test_history_grows_with_the_search_not_with_max_iters():
+    """A recorded trial's history starts at one chunk of rows and doubles only
+    while the search runs on, so a 10^8-iteration budget that stalls early
+    costs kilobytes, not 10^8 preallocated rows (4.47 GiB)."""
+    obj = lookup_objective("sphere", 2)
+    cfg = BasConfig(dimension=2, init_box=obj.init_box, max_iters=10 ** 8, stall_iters=5)
+    tracemalloc.start()
+    try:
+        (result,) = run_trials(cfg, obj, [3], record={0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.termination == TERM_STALLED
+    assert 0 < len(result.trajectory) < core._DIRECTION_CHUNK
+    assert peak < 2 << 20
 
 
 def test_run_is_the_single_trial_engine():
@@ -237,32 +256,47 @@ def test_lowest_failing_trial_is_reported():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 10, 16, 33, 100])
 def test_batched_directions_equal_sample_direction_bitwise(k):
-    batch = sample_directions(k, np.random.default_rng(k), 500)
-    rng = np.random.default_rng(k)
-    one_by_one = np.array([sample_direction(k, rng) for _ in range(500)])
-    assert batch.tobytes() == one_by_one.tobytes()
+    """Three generators fill the first 499 of 500 rows of their slices (a
+    strided view, as for the last chunk of a search); each slice holds its
+    generator's one-at-a-time draws, and each stream goes on from there."""
+    directions = np.empty((3, 500, k))
+    rngs = [np.random.default_rng(k + i) for i in range(3)]
+    sample_directions(rngs, directions[:, :499])
+    for i, rng in enumerate(rngs):
+        ref = np.random.default_rng(k + i)
+        one_by_one = np.array([sample_direction(k, ref) for _ in range(499)])
+        assert directions[i, :499].tobytes() == one_by_one.tobytes()
+        assert rng.random() == ref.random()
 
 
 class _ScriptedGenerator:
-    """Hands out a fixed sequence of uniform draws; its state is the read position."""
+    """Hands out a fixed sequence of unit-interval draws; its state is the
+    read position."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
         self.state = 0
-        self.bit_generator = self
+
+    def random(self, out):
+        out[...] = self.values[self.state:self.state + out.size].reshape(out.shape)
+        self.state += out.size
 
     def uniform(self, low, high, size):
-        n = int(np.prod(size))
-        out = self.values[self.state:self.state + n]
-        self.state += n
-        return out.reshape(size)
+        u = np.empty(size)
+        self.random(out=u)
+        return low + (high - low) * u
 
 
 def test_batched_directions_redraw_short_rows():
-    rows = [[0.3, -0.4], [1e-13, -1e-13], [0.5, 0.5], [0.1, 0.2], [0.7, 0.1]]
-    gen = _ScriptedGenerator(np.ravel(rows))
-    got = sample_directions(2, gen, 3)
+    rows = np.array([[0.5, -0.5], [0.0, 0.0], [0.75, 0.25], [0.25, 0.5], [0.125, 0.75]])
+    gen = _ScriptedGenerator(np.ravel((rows + 1.0) / 2.0))
+    other = _ScriptedGenerator(np.ravel((rows[[2, 3, 4]] + 1.0) / 2.0))
+    got = np.empty((2, 3, 2))
+    sample_directions([gen, other], got)
     # the short row is rejected, so the chunk takes the next row instead
-    want = np.array([row / np.linalg.norm(row) for row in np.array(rows)[[0, 2, 3]]])
-    assert got.tobytes() == want.tobytes()
+    want = np.array([row / np.linalg.norm(row) for row in rows[[0, 2, 3]]])
+    assert got[0].tobytes() == want.tobytes()
     assert gen.state == 8  # four rows consumed, as by three sample_direction calls
+    assert got[1].tobytes() == np.array([row / np.linalg.norm(row)
+                                         for row in rows[[2, 3, 4]]]).tobytes()
+    assert other.state == 6

@@ -1,11 +1,13 @@
 """Tests for the benchmark objectives and the registry."""
 
+import dataclasses
 import os
 import sys
 import threading
 import time
 import warnings
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -320,25 +322,23 @@ def test_objective_batch_shape():
 # Objective.batch split across threads
 
 @contextmanager
-def _split_at(cpus, min_part=None):
-    """``Objective.batch`` seeing ``cpus`` usable CPUs and, if given, ranges
-    of ``min_part`` elements."""
+def _split_at(cpus):
+    """``Objective.batch`` seeing ``cpus`` usable CPUs."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(objectives, "_usable_cpus", lambda: cpus)
-        if min_part is not None:
-            mp.setattr(objectives, "_MIN_PART", min_part)
         yield
 
 
-def _counting(obj):
-    """``obj`` with an ``fn`` that records the row count of every call."""
+def _counting(obj, split_from):
+    """``obj`` splitting from ``split_from`` elements, with an ``fn`` that
+    records the row count of every call."""
     calls = []
 
     def fn(x):
         calls.append(len(x))
         return obj.fn(x)
     return Objective(name=obj.name, dimension=obj.dimension, fn=fn,
-                     init_box=obj.init_box), calls
+                     init_box=obj.init_box, split_from=split_from), calls
 
 
 _SPLIT_CASES = ([("michalewicz", k) for k in (1, 2, 3, 8, 9, 10, 33)]
@@ -356,13 +356,13 @@ def test_split_batch_matches_one_fn_call_bit_for_bit(case, n, min_part, cpus, da
     signed-zero coordinates."""
     name, k = case
     plain = lookup_objective(name, k)
-    obj, calls = _counting(plain)
+    obj, calls = _counting(plain, 2 * min_part)
     coords = st.one_of(st.floats(-1e300, 1e300),
                        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
     points = data.draw(arrays(np.float64, (n, k), elements=coords))
     with np.errstate(all="ignore"):
         want = np.asarray(plain.fn(points), dtype=float)
-        with _split_at(cpus, min_part):
+        with _split_at(cpus):
             got = obj.batch(points)
     assert len(calls) == max(1, min(n * k // min_part, n, cpus))
     assert sum(calls) == n and max(calls) - min(calls) <= 1
@@ -375,14 +375,14 @@ def test_split_batch_under_frequent_thread_switches():
     most two seconds: every batch is one ``fn`` call's bits and its ranges
     cover each row once."""
     plain = lookup_objective("michalewicz", 3)
-    obj, calls = _counting(plain)
+    obj, calls = _counting(plain, 32)
     points = np.random.default_rng(0).uniform(0.0, np.pi, size=(8 * 257 + 5, 3))
     want = plain.fn(points).tobytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         rounds, deadline = 0, time.monotonic() + 2.0
-        with _split_at(8, 16):
+        with _split_at(8):
             while rounds < 100 and time.monotonic() < deadline:
                 calls.clear()
                 assert obj.batch(points).tobytes() == want
@@ -407,9 +407,9 @@ def test_split_batch_raises_the_first_failing_range(cpus, failing):
         if (start > 0) == (failing == "later"):
             raise ValueError(f"range from row {start}")
         return np.add.reduce(x, axis=-1)
-    obj = Objective(name="ranges", dimension=1, fn=fn, init_box=((0.0, 1.0),))
+    obj = Objective(name="ranges", dimension=1, fn=fn, init_box=((0.0, 1.0),), split_from=2)
     before = threading.active_count()
-    with _split_at(cpus, 1), pytest.raises(ValueError) as exc:
+    with _split_at(cpus), pytest.raises(ValueError) as exc:
         obj.batch(np.arange(10.0)[:, None])
     assert threading.active_count() == before
     assert len(starts) == cpus
@@ -419,7 +419,8 @@ def test_split_batch_raises_the_first_failing_range(cpus, failing):
 def test_split_batch_runs_under_the_callers_error_state():
     """A new thread starts from numpy's default error state: only the second
     range overflows, and it raises or stays silent as the caller asked."""
-    obj = lookup_objective("sphere", 3)
+    obj = dataclasses.replace(lookup_objective("sphere", 3),
+                              split_from=2 * objectives._MIN_PART)
     points = np.zeros((2 * objectives._MIN_PART, 3))
     points[objectives._MIN_PART:] = 1e200
     with _split_at(2):
@@ -433,10 +434,32 @@ def test_split_batch_runs_under_the_callers_error_state():
 
 
 def test_one_usable_cpu_makes_one_fn_call():
-    obj, calls = _counting(lookup_objective("michalewicz", 2))
+    obj, calls = _counting(lookup_objective("michalewicz", 2), 2 * objectives._MIN_PART)
     with _split_at(1):
         obj.batch(np.zeros((8 * objectives._MIN_PART, 2)))
     assert calls == [8 * objectives._MIN_PART]
+
+
+def _thread_starts(obj, rows):
+    """Threads started by ``obj.batch`` over ``rows`` points."""
+    start = threading.Thread.start
+    with mock.patch.object(threading.Thread, "start", autospec=True, side_effect=start) as spy:
+        assert obj.batch(np.zeros((rows, obj.dimension))).shape == (rows,)
+    return spy.call_count
+
+
+@pytest.mark.parametrize("name,k,split_from", [
+    ("michalewicz", 2, 2 * objectives._MIN_PART), ("goldstein_price", 2, 1 << 17),
+    ("sphere", 2, 1 << 19), ("sphere", 8, 1 << 19)])
+def test_registry_batches_split_from_their_threshold(name, k, split_from):
+    """Each objective splits only batches large enough to gain from a second
+    thread: a 2^17-element sphere batch starts none."""
+    obj = lookup_objective(name, k)
+    assert obj.split_from == split_from
+    with _split_at(2):
+        assert _thread_starts(obj, (1 << 17) // k) == (split_from <= 1 << 17)
+        assert _thread_starts(obj, split_from // k - 1) == 0
+        assert _thread_starts(obj, split_from // k) == 1
 
 
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
