@@ -17,10 +17,10 @@ as one ``(n, k)`` array, one ``Objective.batch`` call for all antenna tips
 and one for all new positions per iteration, and reproduces the reference
 bit for bit (each trial keeps its own generator and the same arithmetic).
 A block takes as many consecutive trials as fit a 1 MiB budget for their
-direction chunks and, for recorded trials, as many history rows, a history
-that doubles only while the search runs on; neither the block partition
-nor the chunk length enters any trial's arithmetic. ``run`` is its
-single-trial case.
+direction chunks and, for recorded trials, their full history; the history
+is allocated one chunk of rows at first and doubles only while the search
+runs on. Neither the block partition nor the chunk length enters any
+trial's arithmetic. ``run`` is its single-trial case.
 
 A block's per-trial set-up is done for the block at once: the generators'
 ``SeedSequence`` hashes on uint32 arrays (``_seed_states``, also behind a
@@ -404,14 +404,13 @@ def _blocks(config: BasConfig, kept: Sequence[bool]) -> Iterator[range]:
     """Split the trials into consecutive ranges whose engine arrays fit
     ``_BLOCK_BYTES``; a trial too large for the budget runs alone.
 
-    A trial costs its chunk of directions, plus, if ``kept``, as many
-    trajectory rows of ``4 + k`` floats: the history ``_run_block`` allocates
-    first, and doubles only for a search that outruns it.
+    A trial costs its chunk of directions, plus its history if ``kept``
+    (``max_iters`` trajectory rows of ``4 + k`` floats): ``_run_block`` grows
+    the history only as the search runs, so this bounds the most it can take.
     """
     k = config.dimension
-    chunk = min(config.max_iters, _DIRECTION_CHUNK)
-    directions = 8 * k * chunk
-    history = 8 * chunk * (4 + k)
+    directions = 8 * k * min(config.max_iters, _DIRECTION_CHUNK)
+    history = 8 * config.max_iters * (4 + k)
     first, size = 0, 0
     for i, keep in enumerate(kept):
         cost = directions + (history if keep else 0)

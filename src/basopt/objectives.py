@@ -141,7 +141,7 @@ class Objective:
     call from several threads at once. Calling the objective evaluates a
     single point and returns a builtin float; ``batch`` maps an (n, k) array
     of points to an (n,) array of values. A batch of at least ``split_from``
-    elements (``n * k``; never if None) is cut into contiguous row ranges, at
+    elements (``n * k``) is cut into contiguous row ranges, at
     most one per usable CPU and per ``split_from / 2`` elements, and ``fn``
     runs on each range in a thread of its own; by the contract above the
     values are those of one ``fn`` call, bit for bit.
@@ -152,7 +152,7 @@ class Objective:
     fn: Callable[[Array], float | Array]
     init_box: tuple
     known_optimum: Optional[tuple] = None  # ((coords...), value)
-    split_from: Optional[int] = None
+    split_from: int = 2 * _MIN_PART
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -167,7 +167,7 @@ class Objective:
             raise ValueError(
                 f"{self.name} expects points of shape (n, {self.dimension}), got {points.shape}")
         parts = 1
-        if self.split_from is not None and points.size >= self.split_from:
+        if points.size >= self.split_from:
             parts = min(2 * points.size // self.split_from, len(points), _usable_cpus())
         if parts < 2:
             return np.asarray(self.fn(points), dtype=float)

@@ -126,10 +126,9 @@ def test_trajectories_are_read_only_copies():
 
 
 def _trial_bytes(config: BasConfig, kept: bool) -> int:
-    """The engine's arrays for one trial: a chunk of directions, plus as many
-    history rows if kept."""
-    k, chunk = config.dimension, min(config.max_iters, core._DIRECTION_CHUNK)
-    return 8 * k * chunk + (8 * chunk * (4 + k) if kept else 0)
+    """The engine's arrays for one trial: a chunk of directions, plus history."""
+    k, iters = config.dimension, config.max_iters
+    return 8 * k * min(iters, core._DIRECTION_CHUNK) + (8 * iters * (4 + k) if kept else 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,6 +158,21 @@ def test_block_sizes_of_the_campaign_workloads():
     assert list(core._blocks(mich2d, [False] * 200)) == [range(200)]
     mich10d = BasConfig(dimension=10, x0=(0.0,) * 10, max_iters=100)
     assert [len(b) for b in core._blocks(mich10d, [True] * 500)] == [54] * 9 + [14]
+
+
+@pytest.mark.parametrize("iters", [101, 1000, 10 ** 6])
+def test_blocks_budget_the_full_history_of_recorded_trials(iters):
+    """A history grows to ``max_iters`` rows when the search never stops
+    early, so a block of recorded trials fits the budget at that length:
+    ``run --dim 2 --iters 1000000 --trials 200 --traj all`` runs its trials
+    one at a time, not 163 to a block (7.8 GB of history)."""
+    config = BasConfig(dimension=2, x0=(0.0, 0.0), max_iters=iters)
+    blocks = list(core._blocks(config, [True] * 200))
+    assert [i for block in blocks for i in block] == list(range(200))
+    for block in blocks:
+        assert len(block) * iters * (4 + 2) * 8 <= core._BLOCK_BYTES or len(block) == 1
+    if iters == 10 ** 6:
+        assert len(blocks) == 200
 
 
 def test_history_grows_with_the_search_not_with_max_iters():

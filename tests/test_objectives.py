@@ -462,6 +462,17 @@ def test_registry_batches_split_from_their_threshold(name, k, split_from):
         assert _thread_starts(obj, split_from // k) == 1
 
 
+def test_hand_built_objective_splits_from_the_default_threshold():
+    """An ``Objective`` not from the registry splits from ``2 * _MIN_PART``
+    elements, as every objective did before thresholds per objective."""
+    obj = Objective(name="sum", dimension=2, fn=lambda x: np.add.reduce(x, axis=-1),
+                    init_box=((0.0, 1.0),) * 2)
+    assert obj.split_from == 2 * objectives._MIN_PART
+    with _split_at(2):
+        assert _thread_starts(obj, objectives._MIN_PART - 1) == 0
+        assert _thread_starts(obj, objectives._MIN_PART) == 1
+
+
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
