@@ -195,6 +195,11 @@ def _objective_and_box(name: str, dim: int, box: Optional[tuple], setting: str):
     return objective, box * dim if len(box) == 1 else box
 
 
+# The BasConfig parameters that are campaign settings as they stand.
+_SEARCH_SETTINGS = {"dimension": "dim", "d0": "d0", "delta0": "delta0", "max_iters": "iters",
+                    "seed": "seed", "target_value": "target", "stall_iters": "stall"}
+
+
 def _validate(cfg: ExperimentConfig) -> BasConfig:
     """The search config of ``cfg``, built after the checks that only the
     campaign can make; ``BasConfig`` and ``ScheduleSpec`` check the rest."""
@@ -210,20 +215,13 @@ def _validate(cfg: ExperimentConfig) -> BasConfig:
         d_schedule = ScheduleSpec(cfg.eta_d, cfg.offset_d)
     with _naming(rate="eta_delta"):
         delta_schedule = ScheduleSpec(cfg.eta_delta)
-    with _naming(dimension="dim", d0="d0", delta0="delta0", max_iters="iters", seed="seed",
-                 init_box="init_box", target_value="target", stall_iters="stall"):
+    with _naming(init_box="init_box", **_SEARCH_SETTINGS):
         return BasConfig(
-            dimension=cfg.dim,
-            d0=cfg.d0,
-            delta0=cfg.delta0,
             d_schedule=d_schedule,
             delta_schedule=delta_schedule,
-            max_iters=cfg.iters,
-            seed=cfg.seed,
             init_box=init_box,
             clamp_box=init_box if cfg.clamp else None,
-            target_value=cfg.target,
-            stall_iters=cfg.stall,
+            **{param: getattr(cfg, name) for param, name in _SEARCH_SETTINGS.items()},
         )
 
 
@@ -262,33 +260,22 @@ def emit_trajectory(result: RunResult, path, schedule_text: Optional[dict] = Non
     antenna length and step size used, then the coordinates of x. Floats
     are rendered with repr, which round-trips to the identical double.
 
-    The rows are ``result.trajectory`` with ``t`` in front. A repr is reused
-    where the value is the same double: ``f_bst`` from the previous row or
-    from this row's ``f_x``, and the ``d,delta`` text from ``schedule_text``,
-    a dict that a campaign passes to every call because its trials share one
-    schedule. Equal doubles have equal reprs except 0.0 and -0.0, so a zero
-    is never reused.
+    The rows are ``result.trajectory`` with ``t`` in front. The ``d,delta``
+    text is kept in ``schedule_text``, a dict that a campaign passes to every
+    call because its trials share one schedule. Equal doubles have equal
+    reprs except 0.0 and -0.0, so a pair with a zero is never kept.
     """
     if schedule_text is None:
         schedule_text = {}
     lines = ["t,f_x,f_bst,d,delta," + ",".join(f"x_{j}" for j in range(len(result.x_bst)))]
-    f_prev, f_prev_text = None, ""
     for t, row in enumerate(result.trajectory.tolist(), 1):
-        f_x, f_bst, d, delta = row[0], row[1], row[2], row[3]
-        f_x_text = repr(f_x)
-        if f_bst == f_prev and f_bst:
-            f_bst_text = f_prev_text
-        elif f_bst == f_x and f_bst:
-            f_bst_text = f_x_text
-        else:
-            f_bst_text = repr(f_bst)
-        f_prev, f_prev_text = f_bst, f_bst_text
+        d, delta = row[2], row[3]
         d_delta_text = schedule_text.get((d, delta))
         if d_delta_text is None:
             d_delta_text = f"{d!r},{delta!r}"
             if d and delta:
                 schedule_text[d, delta] = d_delta_text
-        lines.append(f"{t},{f_x_text},{f_bst_text},{d_delta_text},"
+        lines.append(f"{t},{row[0]!r},{row[1]!r},{d_delta_text},"
                      + ",".join(map(repr, row[4:])))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -446,28 +433,26 @@ def main(argv=None) -> int:
             print(f"  evals={summary.total_evals} duration={summary.duration_s:.3f}s "
                   f"summary={Path(cfg.out_dir) / 'summary.json'}")
             return 0
-        if args.command == "oracle":
-            with _naming("box"):
-                box = None if args.box is None else parse_box_spec(args.box)
-            objective, box = _objective_and_box(args.objective, args.dim, box, "box")
-            space = f"objective={objective.name} dim={objective.dimension}"
-            duration = ""
-            with _naming(box="box", resolution="resolution", n_evals="evals"):
-                if args.oracle_command == "grid":
-                    grid = GridSpec(box=box, resolution=args.resolution)
-                    started = time.perf_counter()
-                    x, f = grid_search(objective, grid)
-                    duration = f" duration={time.perf_counter() - started:.3f}s"
-                    print(f"grid: {space} resolution={args.resolution} nodes={grid.n_nodes}")
-                else:
-                    with _naming("seed"):
-                        rng = np.random.default_rng(args.seed)
-                    x, f = random_search_baseline(objective, box, args.evals, rng)
-                    print(f"random: {space} evals={args.evals} seed={args.seed}")
-            coords = ",".join(repr(v) for v in x.tolist())
-            print(f"  best_f={f!r} best_x={coords}{duration}")
-            return 0
-        raise AssertionError(f"unhandled command {args.command!r}")
+        with _naming("box"):
+            box = None if args.box is None else parse_box_spec(args.box)
+        objective, box = _objective_and_box(args.objective, args.dim, box, "box")
+        space = f"objective={objective.name} dim={objective.dimension}"
+        duration = ""
+        with _naming(box="box", resolution="resolution", n_evals="evals"):
+            if args.oracle_command == "grid":
+                grid = GridSpec(box=box, resolution=args.resolution)
+                started = time.perf_counter()
+                x, f = grid_search(objective, grid)
+                duration = f" duration={time.perf_counter() - started:.3f}s"
+                print(f"grid: {space} resolution={args.resolution} nodes={grid.n_nodes}")
+            else:
+                with _naming("seed"):
+                    rng = np.random.default_rng(args.seed)
+                x, f = random_search_baseline(objective, box, args.evals, rng)
+                print(f"random: {space} evals={args.evals} seed={args.seed}")
+        coords = ",".join(repr(v) for v in x.tolist())
+        print(f"  best_f={f!r} best_x={coords}{duration}")
+        return 0
     except (ValueError, ObjectiveError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

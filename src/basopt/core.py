@@ -29,6 +29,11 @@ start points and, per chunk, its slice of directions with
 ``random(out=...)``, and array expressions over the block scale them.
 ``default_rng``, ``derive_trial_seed``, ``init_position`` and
 ``sample_direction`` are the references these reproduce bit for bit.
+
+A seed, of a search or of a campaign, is a non-negative integer: an ``int``
+or an ``np.integer``. ``BasConfig``, ``run_trials`` and ``derive_trial_seeds``
+refuse anything else with a ``ValueError`` that begins with ``seed``, and
+results carry each seed as a Python ``int``.
 """
 
 from __future__ import annotations
@@ -172,8 +177,7 @@ class BasConfig:
             raise ValueError(f"delta0 must be > 0, got {self.delta0}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         if (self.x0 is None) == (self.init_box is None):
             raise ValueError("exactly one of x0 and init_box must be set")
         if self.x0 is not None:
@@ -393,6 +397,7 @@ def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     trial are yielded and then its ``ObjectiveError`` is raised, with
     ``trial`` set to its position and ``seed`` to its seed.
     """
+    seeds = [_as_seed(seed) for seed in seeds]
     kept = [i in record for i in range(len(seeds))]
     for block in _blocks(config, kept):
         keep = np.array(kept[block.start:block.stop], dtype=bool)
@@ -581,24 +586,25 @@ def derive_trial_seed(master_seed: int, trial: int) -> int:
 
 def derive_trial_seeds(master_seed: int, trials: int) -> list:
     """``[derive_trial_seed(master_seed, i) for i in range(trials)]``, as
-    Python ints, hashed for all trials at once (``_seed_states``). A master
-    seed that is not a non-negative int goes to ``derive_trial_seed``, which
-    raises what ``SeedSequence`` raises for it."""
-    if not _is_plain_seed(master_seed):
-        return [derive_trial_seed(master_seed, i) for i in range(trials)]
-    return _seed_states((int(master_seed),), range(trials), 1)[:, 0].tolist()
+    Python ints, hashed for all trials at once (``_seed_states``). The master
+    seed must be a non-negative integer."""
+    return _seed_states((_as_seed(master_seed),), range(trials), 1)[:, 0].tolist()
+
+
+def _as_seed(seed) -> int:
+    """``seed`` as a Python int, or a ``ValueError`` unless it is a
+    non-negative integer (an ``int`` or an ``np.integer``)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def _generators(seeds: Sequence[int]) -> list:
-    """``np.random.default_rng(seed)`` for every seed. The PCG64 state words
-    of all the seeds come from one ``_seed_states`` pass; a seed that is not
-    a non-negative int sends the block to ``default_rng`` itself, which
-    accepts or rejects it as it always did."""
-    from numpy.random import PCG64, Generator, default_rng
+    """``np.random.default_rng(seed)`` for every seed, a non-negative Python
+    int. The PCG64 state words of all the seeds come from one
+    ``_seed_states`` pass."""
+    from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
-
-    if not all(map(_is_plain_seed, seeds)):
-        return [default_rng(seed) for seed in seeds]
 
     class StateWords(ISeedSequence):
         """Hands ``PCG64`` the four uint64 words it asks of a ``SeedSequence``."""
@@ -609,12 +615,8 @@ def _generators(seeds: Sequence[int]) -> list:
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    words = _seed_states((), [int(seed) for seed in seeds], 4)
+    words = _seed_states((), seeds, 4)
     return [Generator(PCG64(StateWords(row))) for row in words]
-
-
-def _is_plain_seed(seed) -> bool:
-    return isinstance(seed, (int, np.integer)) and seed >= 0
 
 
 # numpy.random.SeedSequence's pool size and published hash constants.

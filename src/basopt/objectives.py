@@ -20,6 +20,7 @@ single points and smaller batches.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -241,6 +242,8 @@ def lookup_objective(name: str, dimension: int) -> Objective:
     fn, fixed_dim, axis, optimum, split_from = _REGISTRY[name]
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
+    if dimension > sys.maxsize:
+        raise ValueError(f"dimension must be <= {sys.maxsize}, got {dimension}")
     if fixed_dim is not None and dimension != fixed_dim:
         raise ValueError(
             f"{name} is defined for dimension {fixed_dim} only, got {dimension}")

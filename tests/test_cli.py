@@ -202,6 +202,7 @@ def test_config_file_that_does_not_decode_is_a_config_error(tmp_path):
         (["--objective", "michalewicz", "--config", "traj = sometimes\n"], "traj:"),
         (["--objective", "sphere", "--init-box=2:1"],
          "init-box: requires lo <= hi on every axis"),
+        (["--objective", "sphere", "--dim", "99999999999999999999"], "dim:"),
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, capsys, tokens, field):
@@ -680,6 +681,10 @@ def test_oracle_box_without_a_finite_value_is_one_error_line(tmp_path, argv, err
     (["random", "--evals", "10", "--box=0:1,1:0"], "box: requires lo <= hi on every axis"),
     (["grid", "--resolution", "10", "--box=0:1:2"],
      "box: expected lo:hi[,lo:hi...], got '0:1:2'"),
+    (["grid", "--resolution", "2", "--dim", "99999999999999999999"],
+     f"dim: must be <= {sys.maxsize}, got 99999999999999999999"),
+    (["random", "--evals", "10", "--dim", "99999999999999999999"],
+     f"dim: must be <= {sys.maxsize}, got 99999999999999999999"),
 ])
 def test_oracle_errors_name_their_flag(tmp_path, argv, error):
     proc = _run_module(["oracle", argv[0], "--objective", "sphere"] + argv[1:], tmp_path)

@@ -479,11 +479,25 @@ def test_block_generators_equal_default_rng(seeds):
         assert rng.random(64).tobytes() == np.random.default_rng(seed).random(64).tobytes()
 
 
+_NOT_A_SEED = "seed must be a non-negative integer"
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, np.bool_(True), "7"])
 def test_block_generators_reject_seeds_as_default_rng_does(seed):
-    with pytest.raises(Exception) as want:
+    """What ``default_rng`` refuses, ``run_trials`` refuses too, with one
+    ``ValueError`` that names the seed."""
+    with pytest.raises((TypeError, ValueError)):
         np.random.default_rng(seed)
     config = BasConfig(dimension=1, x0=(0.0,), max_iters=2)
-    with pytest.raises(type(want.value)) as got:
+    with pytest.raises(ValueError, match=f"^{_NOT_A_SEED}, got "):
         list(run_trials(config, sphere, [3, seed]))
-    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BasConfig(dimension=1, x0=(0.0,), seed=1.5),
+    lambda: BasConfig(dimension=1, x0=(0.0,), seed="3"),
+    lambda: derive_trial_seeds(-1, 2),
+], ids=["config-float", "config-str", "master-negative"])
+def test_seed_that_is_not_a_non_negative_integer_is_refused(make):
+    with pytest.raises(ValueError, match=f"^{_NOT_A_SEED}, got "):
+        make()

@@ -205,6 +205,12 @@ def test_results_carry_their_seed():
     seeds = [3, 2 ** 64 - 1, 0]
     assert [r.seed for r in run_trials(cfg, obj, seeds)] == seeds
     assert run(cfg, obj) != dataclasses.replace(run(cfg, obj), seed=18)
+    # numpy integer seeds run as the Python ints they equal
+    want = list(run_trials(cfg, obj, seeds, record=range(3)))
+    got = list(run_trials(cfg, obj, np.array(seeds, dtype=np.uint64), record=range(3)))
+    assert [type(r.seed) for r in got] == [int] * 3
+    assert got == want
+    assert [r.trajectory.tobytes() for r in got] == [r.trajectory.tobytes() for r in want]
 
 
 def test_scalar_objective_sees_r_l_new_order():
