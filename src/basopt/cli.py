@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (BasConfig, ObjectiveError, RunResult, ScheduleSpec,
+from .core import (BasConfig, ObjectiveError, RunResult, ScheduleSpec, _as_seed,
                    derive_trial_seeds, run_trials)
 # Kept importable here; perfbench/tracer.py wraps them.
 from .core import derive_trial_seed, run  # noqa: F401
@@ -84,8 +84,8 @@ class ExperimentConfig:
     invalid configuration raises ``ConfigError`` on construction.
     """
 
-    objective: Optional[str] = _setting(None, str, "objective to minimize (required)",
-                                        choices=objective_names())
+    objective: Optional[str] = _setting(None, str, "objective to minimize (required): "
+                                        + ", ".join(objective_names()))
     dim: int = _setting(2, int, "search-space dimension")
     iters: int = _setting(100, int, "iterations per trial")
     d0: float = _setting(2.0, float, "initial antenna length")
@@ -104,8 +104,8 @@ class ExperimentConfig:
     stall: Optional[int] = _setting(None, int,
                                     "stop after this many iterations without improvement")
     out_dir: str = _setting(".", str, "output directory")
-    traj: str = _setting("first", str, "which trials get a trajectory CSV",
-                         choices=_TRAJ_MODES)
+    traj: str = _setting("first", str,
+                         "which trials get a trajectory CSV: " + ", ".join(_TRAJ_MODES))
     search: BasConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -186,7 +186,7 @@ def _objective_and_box(name: str, dim: int, box: Optional[tuple], setting: str):
     """The objective ``name`` in ``dim`` dimensions and the box to search it
     in: ``box``, one pair per axis or a single pair for every axis, or by
     default the objective's own box. Errors name ``setting`` for the box."""
-    with _naming("objective/dim", dimension="dim"):
+    with _naming(objective="objective", dimension="dim"):
         objective = lookup_objective(name, dim)
     if box is None:
         return objective, objective.init_box
@@ -255,18 +255,16 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def emit_trajectory(result: RunResult, path, schedule_text: Optional[dict] = None) -> None:
+def emit_trajectory(result: RunResult, path, schedule_text: dict) -> None:
     """Write one CSV row per iteration: t, objective at x, best so far, the
     antenna length and step size used, then the coordinates of x. Floats
     are rendered with repr, which round-trips to the identical double.
 
     The rows are ``result.trajectory`` with ``t`` in front. The ``d,delta``
-    text is kept in ``schedule_text``, a dict that a campaign passes to every
-    call because its trials share one schedule. Equal doubles have equal
+    text is kept in ``schedule_text``, a dict that every call of a campaign
+    shares because its trials share one schedule. Equal doubles have equal
     reprs except 0.0 and -0.0, so a pair with a zero is never kept.
     """
-    if schedule_text is None:
-        schedule_text = {}
     lines = ["t,f_x,f_bst,d,delta," + ",".join(f"x_{j}" for j in range(len(result.x_bst)))]
     for t, row in enumerate(result.trajectory.tolist(), 1):
         d, delta = row[2], row[3]
@@ -404,7 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_p = sub.add_parser("oracle", help="brute-force reference searches")
     osub = oracle_p.add_subparsers(dest="oracle_command", required=True)
     search_space = argparse.ArgumentParser(add_help=False)
-    search_space.add_argument("--objective", choices=objective_names(), required=True)
+    search_space.add_argument("--objective", required=True,
+                              help=_SETTINGS["objective"].metadata["help"])
     search_space.add_argument("--dim", type=int, default=2)
     search_space.add_argument("--box", metavar="LO:HI[,LO:HI...]",
                               help="default is the objective's box")
@@ -438,7 +437,7 @@ def main(argv=None) -> int:
         objective, box = _objective_and_box(args.objective, args.dim, box, "box")
         space = f"objective={objective.name} dim={objective.dimension}"
         duration = ""
-        with _naming(box="box", resolution="resolution", n_evals="evals"):
+        with _naming(box="box", resolution="resolution", n_evals="evals", seed="seed"):
             if args.oracle_command == "grid":
                 grid = GridSpec(box=box, resolution=args.resolution)
                 started = time.perf_counter()
@@ -446,8 +445,7 @@ def main(argv=None) -> int:
                 duration = f" duration={time.perf_counter() - started:.3f}s"
                 print(f"grid: {space} resolution={args.resolution} nodes={grid.n_nodes}")
             else:
-                with _naming("seed"):
-                    rng = np.random.default_rng(args.seed)
+                rng = np.random.default_rng(_as_seed(args.seed))
                 x, f = random_search_baseline(objective, box, args.evals, rng)
                 print(f"random: {space} evals={args.evals} seed={args.seed}")
         coords = ",".join(repr(v) for v in x.tolist())

@@ -92,8 +92,8 @@ class ScheduleSpec:
     def __post_init__(self):
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {self.rate}")
-        if not self.offset >= 0.0:
-            raise ValueError(f"offset must be >= 0, got {self.offset}")
+        if not 0.0 <= self.offset < np.inf:
+            raise ValueError(f"offset must be finite and >= 0, got {self.offset}")
 
     def fixed_point(self) -> Optional[float]:
         """Limit of repeated application, when one exists."""
@@ -171,10 +171,10 @@ class BasConfig:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not self.d0 > 0.0:
-            raise ValueError(f"d0 must be > 0, got {self.d0}")
-        if not self.delta0 > 0.0:
-            raise ValueError(f"delta0 must be > 0, got {self.delta0}")
+        if not 0.0 < self.d0 < np.inf:
+            raise ValueError(f"d0 must be finite and > 0, got {self.d0}")
+        if not 0.0 < self.delta0 < np.inf:
+            raise ValueError(f"delta0 must be finite and > 0, got {self.delta0}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         object.__setattr__(self, "seed", _as_seed(self.seed))

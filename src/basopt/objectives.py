@@ -235,17 +235,17 @@ def objective_names() -> tuple:
 
 
 def lookup_objective(name: str, dimension: int) -> Objective:
-    """Resolve a registered objective at the requested dimension."""
+    """Resolve a registered objective at the requested dimension. A
+    ``ValueError`` begins with the parameter at fault: objective or dimension."""
     if name not in _REGISTRY:
         raise ValueError(
-            f"unknown objective {name!r}; valid names: {', '.join(objective_names())}")
+            f"objective {name!r} is unknown; valid names: {', '.join(objective_names())}")
     fn, fixed_dim, axis, optimum, split_from = _REGISTRY[name]
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if dimension > sys.maxsize:
         raise ValueError(f"dimension must be <= {sys.maxsize}, got {dimension}")
     if fixed_dim is not None and dimension != fixed_dim:
-        raise ValueError(
-            f"{name} is defined for dimension {fixed_dim} only, got {dimension}")
+        raise ValueError(f"dimension must be {fixed_dim} for {name}, got {dimension}")
     return Objective(name=name, dimension=dimension, fn=fn, init_box=(axis,) * dimension,
                      known_optimum=optimum(dimension), split_from=split_from)

@@ -194,7 +194,7 @@ def test_config_file_that_does_not_decode_is_a_config_error(tmp_path):
         (["--objective", "michalewicz", "--seed", "-3"], "seed:"),
         (["--objective", "michalewicz", "--stall", "0"], "stall:"),
         (["--objective", "michalewicz", "--dim", "0"], "dim:"),
-        (["--objective", "goldstein_price", "--dim", "3"], "objective/dim:"),
+        (["--objective", "goldstein_price", "--dim", "3"], "dim:"),
         (["--objective", "michalewicz", "--dim", "3", "--init-box", "0:1,0:1"],
          "init-box:"),
         (["--objective", "michalewicz", "--eta-delta", "0"], "eta-delta:"),
@@ -203,6 +203,10 @@ def test_config_file_that_does_not_decode_is_a_config_error(tmp_path):
         (["--objective", "sphere", "--init-box=2:1"],
          "init-box: requires lo <= hi on every axis"),
         (["--objective", "sphere", "--dim", "99999999999999999999"], "dim:"),
+        (["--objective", "sphere", "--d0", "inf"], "d0: must be finite and > 0, got inf"),
+        (["--objective", "sphere", "--delta0", "inf"], "delta0: must be finite and > 0, got inf"),
+        (["--objective", "sphere", "--offset-d", "inf"],
+         "offset-d: must be finite and >= 0, got inf"),
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, capsys, tokens, field):
@@ -260,7 +264,7 @@ def _huge_dim(line) -> bool:
         return False
 
 
-_ERROR_PREFIXES = {name.replace("_", "-") for name in _SETTINGS} | {"objective/dim"}
+_ERROR_PREFIXES = {name.replace("_", "-") for name in _SETTINGS}
 _PLAUSIBLE = st.sampled_from([
     "", "sphere", "michalewicz", "goldstein_price", "0", "1", "2", "3", "-1", "100",
     "0.5", "0.95", "1.0", "1.5", "-0.1", "1e308", "nan", "inf", "-inf", "true", "off",
@@ -295,7 +299,7 @@ def test_unknown_flag_exits():
 
 
 def test_bad_choice_exits():
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError, match="^objective: 'rastrigin' is unknown"):
         parse_config(["--objective", "rastrigin"])
 
 
@@ -669,7 +673,7 @@ def test_oracle_box_without_a_finite_value_is_one_error_line(tmp_path, argv, err
 
 @pytest.mark.parametrize("argv,error", [
     (["random", "--evals", "0"], "evals: must be >= 1, got 0"),
-    (["random", "--evals", "10", "--seed", "-1"], "seed: expected non-negative integer"),
+    (["random", "--evals", "10", "--seed", "-1"], "seed: must be a non-negative integer, got -1"),
     (["random", "--evals", "10", "--dim", "0"], "dim: must be >= 1, got 0"),
     (["random", "--evals", "10", "--box=0:1,0:1,0:1"], "box: needs 1 or 2 lo:hi pairs, got 3"),
     (["grid", "--resolution", "10", "--dim", "0"], "dim: must be >= 1, got 0"),
@@ -724,6 +728,43 @@ def test_invalid_config_creates_no_out_dir(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: init-box: width hi - lo overflows on some axis\n")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("values,oracles,error", [
+    ({"objective": "foo"}, ("grid", "random"),
+     "objective: 'foo' is unknown; valid names: goldstein_price, michalewicz, sphere"),
+    ({"objective": "goldstein_price", "dim": "3"}, ("grid", "random"),
+     "dim: must be 2 for goldstein_price, got 3"),
+    ({"objective": "sphere", "traj": "foo"}, (),
+     "traj: must be one of ('all', 'first', 'none'), got 'foo'"),
+    ({"objective": "sphere", "seed": "-1"}, ("random",),
+     "seed: must be a non-negative integer, got -1"),
+], ids=["objective", "dim", "traj", "seed"])
+def test_a_bad_value_is_the_same_line_from_a_flag_a_file_or_an_oracle(
+        tmp_path, capsys, values, oracles, error):
+    """One check per input: no usage block, exit 2 and nothing written."""
+    out_dir = tmp_path / "out"
+    path = tmp_path / "exp.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    flags = [f"--{key}={value}" for key, value in values.items()]
+    sizes = {"grid": ["--resolution", "3"], "random": ["--evals", "3"]}
+    for argv in ([*flags, "--out-dir", str(out_dir)],
+                 ["--config", str(path), "--out-dir", str(out_dir)]):
+        assert main(["run", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+    for oracle in oracles:
+        assert main(["oracle", oracle, *flags, *sizes[oracle]]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["oracle", "grid"], ["oracle", "random"]])
+def test_help_lists_the_valid_values(capsys, command):
+    with pytest.raises(SystemExit):
+        main([*command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # unwrapped
+    assert ", ".join(objectives.objective_names()) in text
+    assert ("all, first, none" in text) == (command == ["run"])
 
 
 def test_failed_campaign_names_the_lowest_failing_trial(tmp_path):

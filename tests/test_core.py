@@ -195,10 +195,12 @@ def test_schedule_validation():
         ScheduleSpec(rate=-0.5, offset=0.1)
     with pytest.raises(ValueError, match="^rate must be in"):
         ScheduleSpec(rate=float("nan"))
-    with pytest.raises(ValueError, match="^offset must be >= 0"):
+    with pytest.raises(ValueError, match="^offset must be finite and >= 0"):
         ScheduleSpec(rate=0.9, offset=-0.1)
-    with pytest.raises(ValueError, match="^offset must be >= 0"):
+    with pytest.raises(ValueError, match="^offset must be finite and >= 0"):
         ScheduleSpec(rate=1.0, offset=float("nan"))
+    with pytest.raises(ValueError, match="^offset must be finite and >= 0, got inf$"):
+        ScheduleSpec(rate=0.9, offset=float("inf"))
     with pytest.raises(ValueError):
         advance_schedule(-1.0, ScheduleSpec(0.95))
     # the edges of the ranges are valid
@@ -285,6 +287,9 @@ def test_config_validation():
         BasConfig(dimension=2, x0=(0.0, 0.0), clamp_box=((0, 1), (-1e308, 1e308)))
     with pytest.raises(ValueError):
         BasConfig(dimension=1, x0=(0.0,), stall_iters=0)
+    for name in ("d0", "delta0"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got inf$"):
+            BasConfig(dimension=1, x0=(0.0,), **{name: float("inf")})
     for target in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="^target_value must be finite"):
             BasConfig(dimension=1, x0=(0.0,), target_value=target)

@@ -13,6 +13,7 @@ from basopt import (
     BasConfig,
     ObjectiveError,
     RunResult,
+    ScheduleSpec,
     TERM_MAX_ITERS,
     TERM_STALLED,
     TERM_TARGET,
@@ -269,6 +270,73 @@ def test_lowest_failing_trial_is_reported():
     assert (exc.value.trial, exc.value.seed) == (lowest, seeds[lowest])
     assert str(exc.value) == f"trial {lowest} (seed {seeds[lowest]}): {outcomes[lowest]}"
     assert [r.f_bst for r in got] == [o.f_bst for o in outcomes[:lowest]]
+
+
+class _Cube:
+    """Inverted bowl ``-sum(x*x)`` inside ``[-1, 1]^k`` and ``outside`` beyond
+    it, as a batch objective that counts the points it is given."""
+    def __init__(self, outside):
+        self.outside = outside
+        self.points = 0
+
+    def __call__(self, x):
+        return float(self.batch(np.asarray(x)[None])[0])
+
+    def batch(self, points):
+        self.points += len(points)
+        values = -np.sum(points * points, axis=-1)
+        return np.where(np.abs(points).max(axis=-1) > 1.0, self.outside, values)
+
+
+@pytest.mark.parametrize("kind", ["batch", "callable"])
+@pytest.mark.parametrize("outside", [np.inf, np.nan])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_failing_new_position_matches_the_reference(k, outside, kind):
+    """Beetles climb out of the cube with a step much longer than their
+    antennae, so some fail at a new position with both tips inside. The
+    engine drops the failed rows after the position batch: the error, every
+    earlier trial and the points evaluated are the reference's, one trial per
+    block or all in one."""
+    cube = _Cube(outside)
+    objective = cube if kind == "batch" else cube.__call__
+    constant = ScheduleSpec(1.0)
+    cfg = BasConfig(dimension=k, init_box=((-0.6, 0.6),) * k, d0=0.01, delta0=0.12,
+                    d_schedule=constant, delta_schedule=constant, max_iters=40)
+    seeds = list(range(12))
+    outcomes, points = [], []
+    for seed in seeds:
+        cube.points = 0
+        try:
+            outcomes.append(reference_run(cfg, objective, seed))
+        except ObjectiveError as err:
+            outcomes.append(err)
+            # the engine probes both tips before it checks them
+            if cube.points - 3 * err.iteration == -1:
+                cube.points += 1
+        points.append(cube.points)
+    failed = [o for o in outcomes if isinstance(o, ObjectiveError)]
+    # a tip lies within d = 0.01 of a position inside the cube; a new position
+    # 0.12 away may not
+    assert any(np.abs(err.x).max() > 1.01 for err in failed)
+    lowest = outcomes.index(failed[0])
+    want = failed[0]
+    # every trial alone, up to the failing one; all trials in one block
+    for budget, last in ((1, lowest), (core._BLOCK_BYTES, len(seeds) - 1)):
+        got = []
+        cube.points = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK_BYTES", budget)
+            with pytest.raises(ObjectiveError) as exc:
+                for result in run_trials(cfg, objective, seeds, record=range(len(seeds))):
+                    got.append(result)
+        err = exc.value
+        assert (err.trial, err.seed, err.iteration) == (lowest, seeds[lowest], want.iteration)
+        assert repr(err.value) == repr(want.value)
+        assert err.x.tobytes() == want.x.tobytes()
+        assert len(got) == lowest
+        for result, reference in zip(got, outcomes):
+            assert_same_result(result, reference)
+        assert cube.points == sum(points[:last + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -295,11 +295,12 @@ def test_lookup_unknown_name_lists_choices():
     with pytest.raises(ValueError) as exc:
         lookup_objective("rosenbrock", 2)
     msg = str(exc.value)
+    assert msg.startswith("objective 'rosenbrock' is unknown; valid names: ")
     assert "michalewicz" in msg and "goldstein_price" in msg and "sphere" in msg
 
 
 def test_lookup_fixed_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dimension must be 2 for goldstein_price, got 3$"):
         lookup_objective("goldstein_price", 3)
 
 
