@@ -206,7 +206,7 @@ def _validate(cfg: ExperimentConfig) -> BasConfig:
     if cfg.objective is None:
         raise ConfigError("objective: required (one of "
                           f"{', '.join(objective_names())})")
-    _, init_box = _objective_and_box(cfg.objective, cfg.dim, cfg.init_box, "init-box")
+    objective, init_box = _objective_and_box(cfg.objective, cfg.dim, cfg.init_box, "init-box")
     if cfg.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {cfg.trials}")
     if cfg.traj not in _TRAJ_MODES:
@@ -216,13 +216,31 @@ def _validate(cfg: ExperimentConfig) -> BasConfig:
     with _naming(rate="eta_delta"):
         delta_schedule = ScheduleSpec(cfg.eta_delta)
     with _naming(init_box="init_box", **_SEARCH_SETTINGS):
-        return BasConfig(
+        search = BasConfig(
             d_schedule=d_schedule,
             delta_schedule=delta_schedule,
             init_box=init_box,
             clamp_box=init_box if cfg.clamp else None,
             **{param: getattr(cfg, name) for param, name in _SEARCH_SETTINGS.items()},
         )
+    _check_reach(objective, search)
+    return search
+
+
+def _check_reach(objective, search: BasConfig) -> None:
+    """Refuse a ``d0`` or ``delta0`` that carries the first step from a finite
+    value to a non-finite one: one batch evaluates the objective at the far
+    corner of the init box, ``max(|lo|, |hi|)`` on every axis, and at
+    ``d0 + delta0`` beyond that on every axis. A corner whose own value is
+    not finite is left to the search. The error names the larger setting."""
+    corner = np.abs(np.asarray(search.init_box)).max(axis=1)
+    points = np.stack((corner, corner + search.d0 + search.delta0))
+    with np.errstate(all="ignore"):
+        at_corner, beyond = objective.batch(points)
+    if np.isfinite(at_corner) and not np.isfinite(beyond):
+        name = "d0" if search.d0 >= search.delta0 else "delta0"
+        raise ConfigError(f"{name}: too large, got {getattr(search, name)!r}: the objective is "
+                          f"{float(beyond)!r} at d0 + delta0 beyond the far corner of the init box")
 
 
 def _merge_run_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -404,18 +422,18 @@ def _build_parser() -> argparse.ArgumentParser:
     search_space = argparse.ArgumentParser(add_help=False)
     search_space.add_argument("--objective", required=True,
                               help=_SETTINGS["objective"].metadata["help"])
-    search_space.add_argument("--dim", type=int, default=2)
+    search_space.add_argument("--dim", default=2)
     search_space.add_argument("--box", metavar="LO:HI[,LO:HI...]",
                               help="default is the objective's box")
 
     grid_p = osub.add_parser("grid", parents=[search_space],
                              help="exhaustive lattice minimization")
-    grid_p.add_argument("--resolution", type=int, required=True)
+    grid_p.add_argument("--resolution", required=True)
 
     rand_p = osub.add_parser("random", parents=[search_space],
                              help="uniform random sampling baseline")
-    rand_p.add_argument("--evals", type=int, required=True)
-    rand_p.add_argument("--seed", type=int, default=0)
+    rand_p.add_argument("--evals", required=True)
+    rand_p.add_argument("--seed", default=0)
     return parser
 
 
@@ -432,6 +450,10 @@ def main(argv=None) -> int:
             print(f"  evals={summary.total_evals} duration={summary.duration_s:.3f}s "
                   f"summary={Path(cfg.out_dir) / 'summary.json'}")
             return 0
+        for name in ("dim", "resolution", "evals", "seed"):  # parsed as run's are
+            if name in args:
+                with _naming(name):
+                    setattr(args, name, int(getattr(args, name)))
         with _naming("box"):
             box = None if args.box is None else parse_box_spec(args.box)
         objective, box = _objective_and_box(args.objective, args.dim, box, "box")

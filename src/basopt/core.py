@@ -16,11 +16,14 @@ that executes searches: it moves a block of independent beetles in lockstep
 as one ``(n, k)`` array, one ``Objective.batch`` call for all antenna tips
 and one for all new positions per iteration, and reproduces the reference
 bit for bit (each trial keeps its own generator and the same arithmetic).
+The block's state is held compacted to its running beetles, so a step works
+on dense arrays; the arrays shrink, and a stopped beetle's result is set
+aside, only on an iteration where some beetle stops or fails.
 A block takes as many consecutive trials as fit a 1 MiB budget for their
-direction chunks and, for recorded trials, their full history; the history
-is allocated one chunk of rows at first and doubles only while the search
-runs on. Neither the block partition nor the chunk length enters any
-trial's arithmetic. ``run`` is its single-trial case.
+direction chunks, antenna tips and, for recorded trials, their full
+history; the history is allocated one chunk of rows at first and doubles
+only while the search runs on. Neither the block partition nor the chunk
+length enters any trial's arithmetic. ``run`` is its single-trial case.
 
 A block's per-trial set-up is done for the block at once: the generators'
 ``SeedSequence`` hashes on uint32 arrays (``_seed_states``, also behind a
@@ -53,11 +56,13 @@ TERM_STALLED = "stalled"
 
 _MIN_DIRECTION_NORM = 1e-12
 
-# Bytes of direction and history arrays per lockstep block in ``run_trials``;
-# bounds the engine's working set.
+# Bytes of direction, antenna-tip and history arrays per lockstep block in
+# ``run_trials``; bounds the engine's working set.
 _BLOCK_BYTES = 1 << 20
 # Iterations of directions drawn per generator call in ``run_trials``.
 _DIRECTION_CHUNK = 100
+# Bytes of squared components that ``sample_directions`` holds at once.
+_SQUARES_BYTES = 1 << 16
 
 
 class ObjectiveError(RuntimeError):
@@ -263,7 +268,9 @@ def sample_directions(rngs: Sequence[np.random.Generator], out: Array) -> None:
     ``u *= 2; u -= 1`` is then the ``-1 + 2*u`` that ``uniform`` computes, bit
     for bit, as ``2*u`` is exact. Every row's norm is the same ``np.add``
     reduction of squares that ``sample_direction`` applies to a single vector,
-    so the rows match the one-at-a-time draws bit for bit. Neither calls BLAS,
+    so the rows match the one-at-a-time draws bit for bit; the squares are
+    taken a few slices at a time, in at most ``_SQUARES_BYTES`` (or one
+    slice), which bounds the temporary and not the bits. Neither calls BLAS,
     whose kernel depends on the CPU. A row short enough to be rejected is
     dropped: the slice keeps its accepted rows in order and draws the missing
     ones with ``sample_direction``, which leaves the stream where one-at-a-time
@@ -273,7 +280,14 @@ def sample_directions(rngs: Sequence[np.random.Generator], out: Array) -> None:
         rng.random(out=u)
     out *= 2.0
     out -= 1.0
-    norms = np.sqrt(np.add.reduce(out * out, axis=-1))
+    norms = np.empty(out.shape[:2])
+    group = max(1, _SQUARES_BYTES // (8 * out.shape[1] * out.shape[2]))  # slices at once
+    squares = np.empty((min(group, len(out)), *out.shape[1:]))
+    for i in range(0, len(out), group):
+        part = out[i:i + group]
+        np.multiply(part, part, out=squares[:len(part)])
+        np.add.reduce(squares[:len(part)], axis=-1, out=norms[i:i + group])
+    np.sqrt(norms, out=norms)
     short = norms < _MIN_DIRECTION_NORM
     norms[short] = 1.0
     out /= norms[..., None]
@@ -391,11 +405,11 @@ def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     (the config's own seed is not used). Trials whose position in ``seeds``
     is in ``record`` carry their trajectory; the others get an empty one.
     Trials move in lockstep blocks of consecutive seeds, as many as fit
-    ``_BLOCK_BYTES`` of direction and history arrays (always at least one),
-    and each block's results are yielded when the block finishes. If an
-    objective value is not finite, the results before the lowest failing
-    trial are yielded and then its ``ObjectiveError`` is raised, with
-    ``trial`` set to its position and ``seed`` to its seed.
+    ``_BLOCK_BYTES`` of direction, antenna-tip and history arrays (always at
+    least one), and each block's results are yielded when the block
+    finishes. If an objective value is not finite, the results before the
+    lowest failing trial are yielded and then its ``ObjectiveError`` is
+    raised, with ``trial`` set to its position and ``seed`` to its seed.
     """
     seeds = [_as_seed(seed) for seed in seeds]
     kept = [i in record for i in range(len(seeds))]
@@ -409,12 +423,13 @@ def _blocks(config: BasConfig, kept: Sequence[bool]) -> Iterator[range]:
     """Split the trials into consecutive ranges whose engine arrays fit
     ``_BLOCK_BYTES``; a trial too large for the budget runs alone.
 
-    A trial costs its chunk of directions, plus its history if ``kept``
-    (``max_iters`` trajectory rows of ``4 + k`` floats): ``_run_block`` grows
-    the history only as the search runs, so this bounds the most it can take.
+    A trial costs its chunk of directions and its two antenna tips, plus its
+    history if ``kept`` (``max_iters`` trajectory rows of ``4 + k`` floats):
+    ``_run_block`` grows the history only as the search runs, so this bounds
+    the most it can take.
     """
     k = config.dimension
-    directions = 8 * k * min(config.max_iters, _DIRECTION_CHUNK)
+    directions = 8 * k * (min(config.max_iters, _DIRECTION_CHUNK) + 2)
     history = 8 * config.max_iters * (4 + k)
     first, size = 0, 0
     for i, keep in enumerate(kept):
@@ -442,117 +457,138 @@ def _start_points(config: BasConfig, rngs: Sequence[np.random.Generator]) -> Arr
 
 def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
                keep: Array, first: int) -> Iterator[RunResult]:
-    """``run_trials`` for one block: every row of ``x`` is one trial's beetle.
+    """``run_trials`` for one block, on the running trials only.
 
-    Rows leave ``active`` when they stop or fail; every array operation acts
-    on the active rows only, in the order and with the scalars ``d`` and
-    ``delta`` that ``bas_iterate`` uses, so each row follows its reference
-    trajectory exactly. Only rows flagged in ``keep`` store history.
-    Floating-point warnings are silenced while the block runs, because every
-    non-finite objective value already becomes an ``ObjectiveError``.
+    The live state is compacted: position ``i`` of ``x``, ``x_bst``,
+    ``f_bst``, ``stall`` and ``place`` belongs to block row ``rows[i]``.
+    Every step acts on these dense arrays, in the order and with the
+    scalars ``d`` and ``delta`` that ``bas_iterate`` uses, so each row
+    follows its reference trajectory exactly. Only on an iteration where
+    some row stops or fails is the state compacted, and a stopped row's
+    incumbent, iteration count and termination written to the block's
+    outputs. Only rows flagged in ``keep`` store history. Floating-point
+    warnings are silenced while the block runs, because every non-finite
+    objective value already becomes an ``ObjectiveError``.
     """
     n, k = len(seeds), config.dimension
     rngs = _generators(seeds)
-    x = _start_points(config, rngs)
-    failures = {}
-    active = np.arange(n)
-    x_bst = x.copy()
-    iterations = np.zeros(n, dtype=int)
-    stall = np.zeros(n, dtype=int)
-    termination = [TERM_MAX_ITERS] * n
-    clamp = None if config.clamp_box is None else np.asarray(config.clamp_box, dtype=float)
+    target, patience = config.target_value, config.stall_iters
+    clamp = None if config.clamp_box is None else np.asarray(config.clamp_box, dtype=float).T
 
     chunk = min(config.max_iters, _DIRECTION_CHUNK)
-    # A chunk's directions are stored for the rows active at its start, in
-    # order: those of row r are directions[place[r]].
+    # A chunk's directions are stored for the rows live at its start, in
+    # order: those of live row i are directions[place[i]].
     directions = np.empty((n, chunk, k))
-    place = np.zeros(n, dtype=int)
-    # Trajectories of the kept rows: slot[row] indexes hist, -1 if not kept.
+    tips = np.empty((2 * n, k))  # x + d*b for the live rows, then x - d*b
+    # Trajectories of the kept rows: slots[row] indexes hist, -1 if not kept;
+    # kept lists the live positions of the kept rows, and kept_slots their slots.
     # hist holds the first chunk's rows and doubles when the search outruns it.
-    slot = np.where(keep, np.cumsum(keep) - 1, -1)
+    slots = np.where(keep, np.cumsum(keep) - 1, -1)
     n_keep = int(keep.sum())
     hist = np.empty((n_keep, chunk, 4 + k))
+    # The block's outputs, by block row, written as rows stop.
+    best_x, best_f = np.empty((n, k)), np.empty(n)
+    ran = np.zeros(n, dtype=int)
+    termination = [TERM_MAX_ITERS] * n
+    failures = {}
+
+    rows = np.arange(n)
+    x = _start_points(config, rngs)
+    x_bst = x.copy()
+    stall = np.zeros(n, dtype=int)
+    place = rows
+    kept = np.flatnonzero(keep)
+    kept_slots = slots[kept]
+
+    def retain(ok, *extra):
+        """Compact the live state, and the arrays ``extra``, to ``ok``."""
+        nonlocal rows, x, x_bst, f_bst, stall, place, kept, kept_slots
+        rows, x, x_bst, f_bst, stall, place = (
+            a[ok] for a in (rows, x, x_bst, f_bst, stall, place))
+        kept = np.flatnonzero(keep[rows])
+        kept_slots = slots[rows[kept]]
+        return [a[ok] for a in extra]
 
     d, delta = config.d0, config.delta0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_bst = _values(objective, x)
-        active = active[_finite(f_bst, x, active, 0, failures)]
+        if not np.isfinite(f_bst).all():
+            retain(_finite(f_bst, x, rows, 0, failures))
         for t in range(config.max_iters):
-            if active.size == 0:
+            m = rows.size
+            if m == 0:
                 break
             j = t % chunk
             if j == 0:
                 count = min(chunk, config.max_iters - t)
-                sample_directions([rngs[row] for row in active],
-                                  directions[:active.size, :count])
-                place[active] = np.arange(active.size)
+                sample_directions([rngs[row] for row in rows.tolist()], directions[:m, :count])
+                place = np.arange(m)
                 if t == hist.shape[1]:
                     grown = np.empty((n_keep, min(2 * t, config.max_iters), 4 + k))
                     grown[:, :t] = hist
                     hist = grown
-            b = directions[place[active], j]
-            xa = x[active]
+            b = directions[place, j]
             offset = d * b
-            x_r, x_l = xa + offset, xa - offset
-            f_tips = _values(objective, np.concatenate((x_r, x_l)))
-            f_r, f_l = f_tips[:active.size], f_tips[active.size:]
-            ok = (_finite(f_r, x_r, active, t + 1, failures)
-                  & _finite(f_l, x_l, active, t + 1, failures))
-            if not ok.all():
-                active, b, xa, f_r, f_l = active[ok], b[ok], xa[ok], f_r[ok], f_l[ok]
-                if active.size == 0:
+            x_r, x_l = tips[:m], tips[m:2 * m]
+            np.add(x, offset, out=x_r)
+            np.subtract(x, offset, out=x_l)
+            f_tips = _values(objective, tips[:2 * m])
+            f_r, f_l = f_tips[:m], f_tips[m:]
+            if not np.isfinite(f_tips).all():
+                ok = (_finite(f_r, x_r, rows, t + 1, failures)
+                      & _finite(f_l, x_l, rows, t + 1, failures))
+                b, f_r, f_l = retain(ok, b, f_r, f_l)
+                if rows.size == 0:
                     break
-            x_new = xa - delta * b * np.sign(f_r - f_l)[:, None]
+            x_new = x - delta * b * np.sign(f_r - f_l)[:, None]
             if clamp is not None:
-                x_new = np.clip(x_new, clamp[:, 0], clamp[:, 1])
+                np.clip(x_new, clamp[0], clamp[1], out=x_new)
             f_new = _values(objective, x_new)
-            ok = _finite(f_new, x_new, active, t + 1, failures)
-            if not ok.all():
-                active, x_new, f_new = active[ok], x_new[ok], f_new[ok]
+            if not np.isfinite(f_new).all():
+                x_new, f_new = retain(_finite(f_new, x_new, rows, t + 1, failures),
+                                      x_new, f_new)
 
-            x[active] = x_new
-            improved = f_new < f_bst[active]
-            f_bst[active[improved]] = f_new[improved]
-            x_bst[active[improved]] = x_new[improved]
-            iterations[active] = t + 1
+            x = x_new
+            improved = f_new < f_bst
+            np.copyto(f_bst, f_new, where=improved)
+            np.copyto(x_bst, x, where=improved[:, None])
             if n_keep:
-                s = slot[active]
-                kept = s >= 0
-                rows = s[kept]
-                hist[rows, t, 0] = f_new[kept]
-                hist[rows, t, 1] = f_bst[active[kept]]
+                hist[kept_slots, t, 0] = f_new[kept]
+                hist[kept_slots, t, 1] = f_bst[kept]
                 hist[:, t, 2:4] = d, delta
-                hist[rows, t, 4:] = x_new[kept]
+                hist[kept_slots, t, 4:] = x[kept]
             d = advance_schedule(d, config.d_schedule)
             delta = advance_schedule(delta, config.delta_schedule)
 
-            stop = np.zeros(active.size, dtype=bool)
-            if config.target_value is not None:
-                stop = f_bst[active] <= config.target_value
-                for row in active[stop]:
-                    termination[row] = TERM_TARGET
-            if config.stall_iters is not None:
-                stall[active] = np.where(improved, 0, stall[active] + 1)
-                stalled = (stall[active] >= config.stall_iters) & ~stop
-                for row in active[stalled]:
-                    termination[row] = TERM_STALLED
-                stop |= stalled
-            active = active[~stop]
+            if target is None and patience is None:
+                continue
+            reached = np.zeros(rows.size, dtype=bool) if target is None else f_bst <= target
+            stop = reached
+            if patience is not None:
+                stall = np.where(improved, 0, stall + 1)
+                stop = reached | (stall >= patience)
+            if stop.any():
+                done = rows[stop]
+                best_x[done], best_f[done], ran[done] = x_bst[stop], f_bst[stop], t + 1
+                for row, hit in zip(done.tolist(), reached[stop].tolist()):
+                    termination[row] = TERM_TARGET if hit else TERM_STALLED
+                retain(~stop)
+    best_x[rows], best_f[rows], ran[rows] = x_bst, f_bst, config.max_iters
 
     lowest = min(failures, default=n)
     unrecorded = np.empty((0, 4 + k))
     unrecorded.flags.writeable = False
+    best_x, best_f, ran = best_x.tolist(), best_f.tolist(), ran.tolist()
     for row in range(lowest):
-        ran = int(iterations[row])
         trajectory = unrecorded
         if keep[row]:
             # a copy, so that no result keeps the block's history alive
-            trajectory = hist[slot[row], :ran].copy()
+            trajectory = hist[slots[row], :ran[row]].copy()
             trajectory.flags.writeable = False
         yield RunResult(trajectory=trajectory,
-                        x_bst=tuple(x_bst[row].tolist()),
-                        f_bst=float(f_bst[row]),
-                        evals=1 + 3 * ran,
+                        x_bst=tuple(best_x[row]),
+                        f_bst=best_f[row],
+                        evals=1 + 3 * ran[row],
                         termination=termination[row],
                         seed=seeds[row])
     if failures:

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -404,6 +405,22 @@ def test_campaign_reruns_are_byte_identical(tmp_path):
         assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes()
 
 
+def test_campaign_peak_memory_stays_below_the_whole_square_of_directions(tmp_path):
+    """A warm 200-trial 2-D campaign, as in the benchmark, peaks below 977 KiB
+    under tracemalloc: the peak when ``sample_directions`` squared a whole
+    (200, 100, 2) chunk of directions at once. It squares a few trials at a
+    time now (about 840 KB on numpy 2.4)."""
+    cfg = _cfg(tmp_path, objective="michalewicz", trials=200, traj="none")
+    run_campaign(cfg)
+    tracemalloc.start()
+    try:
+        run_campaign(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 977 << 10
+
+
 @pytest.mark.parametrize("mode,expected", [("all", 3), ("first", 1), ("none", 0)])
 def test_trajectory_modes(tmp_path, mode, expected):
     run_campaign(_cfg(tmp_path, objective="sphere", trials=3, traj=mode))
@@ -689,11 +706,49 @@ def test_oracle_box_without_a_finite_value_is_one_error_line(tmp_path, argv, err
      f"dim: must be <= {sys.maxsize}, got 99999999999999999999"),
     (["random", "--evals", "10", "--dim", "99999999999999999999"],
      f"dim: must be <= {sys.maxsize}, got 99999999999999999999"),
+    (["grid", "--resolution", "3", "--dim", "x"],
+     "dim: invalid literal for int() with base 10: 'x'"),
+    (["grid", "--resolution", "3.5"],
+     "resolution: invalid literal for int() with base 10: '3.5'"),
+    (["random", "--evals", "ten"], "evals: invalid literal for int() with base 10: 'ten'"),
+    (["random", "--evals", "10", "--seed", "1e3"],
+     "seed: invalid literal for int() with base 10: '1e3'"),
 ])
 def test_oracle_errors_name_their_flag(tmp_path, argv, error):
     proc = _run_module(["oracle", argv[0], "--objective", "sphere"] + argv[1:], tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {error}"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--objective", "sphere", "--d0", "1e308"],
+     "d0: too large, got 1e+308: the objective is inf at d0 + delta0 beyond the far "
+     "corner of the init box"),
+    (["--objective", "michalewicz", "--delta0", "1e308"],
+     "delta0: too large, got 1e+308: the objective is nan at d0 + delta0 beyond the far "
+     "corner of the init box"),
+    (["--objective", "sphere", "--dim", "3", "--d0", "1e154", "--delta0", "2e154"],
+     "delta0: too large, got 2e+154: the objective is inf at d0 + delta0 beyond the far "
+     "corner of the init box"),
+], ids=["d0", "delta0", "delta0-larger"])
+def test_huge_d0_or_delta0_is_one_error_line(tmp_path, argv, error):
+    """The first step would carry a beetle from the box to where the
+    objective is not finite: refused before the campaign, naming the larger
+    setting, with no RuntimeWarning lines and nothing written."""
+    proc = _run_module(["run", *argv, "--out-dir", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {error}"]
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_large_d0_within_reach_still_runs(tmp_path):
+    """sphere at 1e150 + 2.5 on both axes is about 2e300: finite, so d0 = 1e150
+    passes; a box whose own corner overflows is left to the search."""
+    assert run_campaign(_cfg(tmp_path, objective="sphere", d0=1e150)).best >= 0.0
+    cfg = _cfg(tmp_path, objective="sphere", dim=1, init_box="0:2.6e154", d0=1e308)
+    with pytest.raises(ObjectiveError):
+        run_campaign(cfg)
 
 
 def test_out_of_memory_is_one_error_line(tmp_path):

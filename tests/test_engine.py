@@ -101,7 +101,7 @@ def test_engine_matches_reference_bit_for_bit(dim, name, clamp, target, stall, i
     with pytest.MonkeyPatch.context() as mp:
         # every trial alone; three unrecorded trials (fewer recorded ones) per
         # block; all trials in one block (each costs under 23 KB here)
-        unrecorded = 8 * dim * min(iters, chunk)
+        unrecorded = 8 * dim * (min(iters, chunk) + 2)
         budget = {"one": 1, "three": 3 * unrecorded, "all": core._BLOCK_BYTES}[block]
         mp.setattr(core, "_BLOCK_BYTES", budget)
         mp.setattr(core, "_DIRECTION_CHUNK", chunk)
@@ -127,9 +127,10 @@ def test_trajectories_are_read_only_copies():
 
 
 def _trial_bytes(config: BasConfig, kept: bool) -> int:
-    """The engine's arrays for one trial: a chunk of directions, plus history."""
+    """The engine's arrays for one trial: a chunk of directions and two
+    antenna tips, plus history."""
     k, iters = config.dimension, config.max_iters
-    return 8 * k * min(iters, core._DIRECTION_CHUNK) + (8 * iters * (4 + k) if kept else 0)
+    return 8 * k * (min(iters, core._DIRECTION_CHUNK) + 2) + (8 * iters * (4 + k) if kept else 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -337,6 +338,170 @@ def test_a_failing_new_position_matches_the_reference(k, outside, kind):
         for result, reference in zip(got, outcomes):
             assert_same_result(result, reference)
         assert cube.points == sum(points[:last + 1])
+
+
+# ---------------------------------------------------------------------------
+# compaction: rows that stop or fail leave the block's live arrays
+
+class _Counted:
+    """A batch objective that counts the points it is given."""
+    def __init__(self, batch):
+        self._batch = batch
+        self.points = 0
+
+    def __call__(self, x):
+        return float(self.batch(np.asarray(x)[None])[0])
+
+    def batch(self, points):
+        self.points += len(points)
+        return self._batch(points)
+
+
+def _ledge(points):
+    """1-D: 0 left of 0, -x on [0, 1] and inf right of 1. A beetle on the
+    slope climbs right until it fails; one on the flat with both tips on it
+    stays where it is."""
+    x = points[:, 0]
+    return np.where(x > 1.0, np.inf, np.where(x < 0.0, 0.0, -x))
+
+
+def _single_runs(config, objective, seeds, record):
+    """Each seed as a block of its own: its result or error, and the points
+    it evaluated."""
+    outcomes, points = [], []
+    for i, seed in enumerate(seeds):
+        objective.points = 0
+        try:
+            (result,) = run_trials(config, objective, [seed], record=(0,) if i in record else ())
+            outcomes.append(result)
+        except ObjectiveError as err:
+            outcomes.append(err)
+        points.append(objective.points)
+    return outcomes, points
+
+
+def _assert_block_matches_single_runs(config, objective, seeds, record=()):
+    """Run ``seeds`` as one block: every result before the lowest failing
+    trial, that trial's error, and the points evaluated over the whole block
+    are those of the single-trial runs. Returns the single-trial outcomes
+    and points."""
+    kept = [i in record for i in range(len(seeds))]
+    assert len(list(core._blocks(config, kept))) == 1
+    outcomes, points = _single_runs(config, objective, seeds, record)
+    objective.points = 0
+    got, error = [], None
+    try:
+        for result in run_trials(config, objective, seeds, record=record):
+            got.append(result)
+    except ObjectiveError as err:
+        error = err
+    failed = [i for i, o in enumerate(outcomes) if isinstance(o, ObjectiveError)]
+    lowest = failed[0] if failed else len(seeds)
+    assert len(got) == lowest
+    for result, want in zip(got, outcomes):
+        assert_same_result(result, want)
+    if failed:
+        want = outcomes[lowest]
+        assert (error.trial, error.seed, error.iteration) == (lowest, seeds[lowest],
+                                                              want.iteration)
+        assert repr(error.value) == repr(want.value)
+        assert error.x.tobytes() == want.x.tobytes()
+    else:
+        assert error is None
+    assert objective.points == sum(points)
+    return outcomes, points
+
+
+@pytest.mark.parametrize("rule", ["stall", "target"])
+def test_every_row_stops_on_the_same_iteration(rule):
+    """On a flat objective no beetle moves or improves, so all stall on
+    iteration 4; with a target above every value, all reach it on
+    iteration 1. The block ends there, with all its rows compacted away."""
+    if rule == "stall":
+        objective = _Counted(lambda points: np.zeros(len(points)))
+        config = BasConfig(dimension=3, init_box=((-1.0, 1.0),) * 3, stall_iters=4,
+                           max_iters=30)
+        stopped, iterations = TERM_STALLED, 4
+    else:
+        objective = _Counted(lambda points: np.sum(points * points, axis=-1))
+        config = BasConfig(dimension=3, init_box=((-1.0, 1.0),) * 3, target_value=10.0,
+                           max_iters=30)
+        stopped, iterations = TERM_TARGET, 1
+    outcomes, _ = _assert_block_matches_single_runs(config, objective, list(range(9)),
+                                                    record={1, 4})
+    assert {(o.termination, o.evals) for o in outcomes} == {(stopped, 1 + 3 * iterations)}
+
+
+_CONSTANT = ScheduleSpec(1.0)
+
+
+def test_a_row_fails_at_its_tips_on_the_iteration_a_neighbour_stalls():
+    """With d >= delta, a beetle on the ledge's slope fails at a tip, never
+    at its new position. Seed 21 fails at its tips on iteration 3, the
+    iteration on which seeds 2, 3 and 8 stall on the flat; seed 6 runs on
+    past both until its own failure."""
+    objective = _Counted(_ledge)
+    config = BasConfig(dimension=1, init_box=((-1.0, 1.0),), d0=0.3, delta0=0.1,
+                       d_schedule=_CONSTANT, delta_schedule=_CONSTANT, stall_iters=3,
+                       max_iters=20)
+    seeds = [2, 21, 3, 8, 6]
+    outcomes, points = _assert_block_matches_single_runs(config, objective, seeds,
+                                                         record={0, 2})
+    assert {(outcomes[i].termination, outcomes[i].evals) for i in (0, 2, 3)} == {
+        (TERM_STALLED, 1 + 3 * 3)}
+    failure = outcomes[1]
+    assert failure.iteration == 3
+    assert points[1] == 3 * failure.iteration  # both tips probed, no new position
+    assert isinstance(outcomes[4], ObjectiveError) and outcomes[4].iteration > 3
+
+
+def test_a_row_fails_at_its_new_position_in_a_block_that_runs_on():
+    """With delta >> d, a beetle on the ledge's slope can step off it with
+    both tips on it. Seed 0 fails so on iteration 3, in the middle of a block
+    whose beetles on the flat run on to max_iters."""
+    objective = _Counted(_ledge)
+    config = BasConfig(dimension=1, init_box=((-1.0, 1.0),), d0=0.05, delta0=0.3,
+                       d_schedule=_CONSTANT, delta_schedule=_CONSTANT, max_iters=12)
+    seeds = [2, 3, 0, 8, 11]
+    outcomes, points = _assert_block_matches_single_runs(config, objective, seeds,
+                                                         record={1, 3})
+    failure = outcomes[2]
+    assert failure.iteration == 3
+    assert points[2] == 3 * failure.iteration + 1  # both tips, then the new position
+    assert failure.x[0] > 1.0 + config.d0
+    for i in (0, 1, 3, 4):
+        assert (outcomes[i].termination, outcomes[i].evals) == (TERM_MAX_ITERS, 1 + 3 * 12)
+
+
+def test_recorded_and_unrecorded_rows_interleave_under_stall_and_target():
+    """Every other trial is recorded; rows stop by target and by stall on
+    many iterations, across chunks of 7 directions, and the rest run to
+    max_iters."""
+    objective = _Counted(lookup_objective("michalewicz", 2).batch)
+    config = BasConfig(dimension=2, init_box=((0.0, np.pi),) * 2, d0=0.5, delta0=0.3,
+                       target_value=-1.7, stall_iters=15, max_iters=40)
+    seeds = list(range(100, 130))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_DIRECTION_CHUNK", 7)
+        outcomes, _ = _assert_block_matches_single_runs(config, objective, seeds,
+                                                        record=range(0, 30, 2))
+    ends = {(o.termination, o.evals) for o in outcomes}
+    assert {term for term, _ in ends} == {TERM_TARGET, TERM_STALLED, TERM_MAX_ITERS}
+    assert len({evals for term, evals in ends if term != TERM_MAX_ITERS}) >= 6
+
+
+def test_a_block_whose_last_live_row_stops_before_max_iters():
+    """All rows stall long before max_iters: the block ends with its last
+    stop and evaluates nothing after it."""
+    objective = _Counted(lookup_objective("michalewicz", 2).batch)
+    config = BasConfig(dimension=2, init_box=((0.0, np.pi),) * 2, stall_iters=2,
+                       max_iters=500)
+    outcomes, points = _assert_block_matches_single_runs(config, objective,
+                                                         list(range(12)), record={11})
+    assert {o.termination for o in outcomes} == {TERM_STALLED}
+    assert max(o.evals for o in outcomes) < 1 + 3 * config.max_iters // 10
+    assert len({o.evals for o in outcomes}) > 1
+    assert points == [o.evals for o in outcomes]
 
 
 # ---------------------------------------------------------------------------
