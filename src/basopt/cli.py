@@ -133,10 +133,11 @@ class CampaignSummary:
 
 
 def read_config_file(path) -> dict:
-    """Flat ``key = value`` text; keys are the setting names."""
+    """Flat ``key = value`` UTF-8 text, with or without a byte-order mark;
+    keys are the setting names."""
     values = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"config: {path}: {getattr(err, 'strerror', None) or err}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -145,10 +146,10 @@ def read_config_file(path) -> dict:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"config: {path}:{lineno}: expected 'key = value', got {raw!r}")
         key = key.strip().replace("-", "_")
         if key not in _SETTINGS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"config: {path}:{lineno}: unknown key {key!r}")
         values[key] = _parse_setting(key, value.strip())
     return values
 

@@ -10,11 +10,12 @@ evaluated on the usable CPUs.
 A batch of k = 2 to 7 coordinates and at least ``_COLUMN_ROWS * k`` rows goes
 through ``michalewicz`` and ``sphere`` in column layout: every step works on
 the k rows of ``x.T``, a view, so each numpy call loops over the n points and
-none over a k-wide axis, and the row sums become a left-to-right fold of the
-columns from 0.0. That is the order in which ``np.add.reduce`` adds a row of
-fewer than 8 terms, so the values are the row layout's, bit for bit. From 8
-terms on numpy sums pairwise, so wider batches keep the row layout, as do
-single points and smaller batches.
+none over a k-wide axis, and the sums are ``np.add.reduce`` along the
+layout's own axis, axis 0 of the C-ordered (k, n) terms. That adds the k
+terms of a point from 0.0 in index order, the order in which it adds a row
+of fewer than 8 terms along axis -1, so the values are the row layout's, bit
+for bit. From 8 terms on numpy sums a row pairwise, so wider batches keep
+the row layout, as do single points and smaller batches.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ MICHALEWICZ_2D_MIN = -1.8013034100985499
 
 # Elements (rows * k) per range of a split Michalewicz batch. Starting and
 # joining a thread costs about 0.15 ms, and up to 0.7 ms when the host is
-# busy. On a 2-CPU VM (numpy 2.4), two ranges of 2^15 elements take
-# 0.58-0.72x the serial 3.4 ms for 2-D Michalewicz; two ranges of 2^14 would
-# take 0.80-1.15x. Cheaper objectives split from larger batches (``_REGISTRY``).
+# busy. On a busy 2-CPU VM (numpy 2.4, medians of 200-300 interleaved calls)
+# two ranges of 2^15 elements take 0.97-0.99x the serial 3.8 ms for 2-D
+# Michalewicz, a grid chunk of 65000 points split in two 0.95-0.96x, and two
+# ranges of 2^14 1.02-1.04x. Cheaper objectives split from larger batches.
 _MIN_PART = 1 << 15
 
 # Rows per coordinate from which a batch of k = 2 to 7 coordinates is
@@ -65,10 +67,9 @@ def michalewicz(x, m: int = 10) -> float | Array:
         raise ValueError("michalewicz needs at least one coordinate")
     if m < 1:
         raise ValueError(f"steepness m must be >= 1, got {m}")
-    i = np.arange(1, x.shape[-1] + 1, dtype=float)
-    columns = _in_columns(x)
-    if columns:
-        x, i = x.T, i[:, None]
+    i, axis = np.arange(1, x.shape[-1] + 1, dtype=float), -1
+    if _in_columns(x):
+        x, i, axis = x.T, i[:, None], 0
     # -sum(sin(x) * sin(i * x * x / pi) ** (2m)) in two buffers, with the power
     # by left-to-right binary exponentiation: after the leading 1 of 2m, each
     # bit squares p and a 1 bit then multiplies it by t (m = 10: t^2, t^4,
@@ -86,10 +87,10 @@ def michalewicz(x, m: int = 10) -> float | Array:
             p *= t
     np.sin(x, out=t)
     t *= p
-    if columns:
-        total = _column_sums(t)
-        return np.negative(total, out=total)
-    return -np.add.reduce(t, axis=-1)
+    total = np.add.reduce(t, axis=axis)
+    # Negated in place unless a single point's sum is a numpy scalar: a new
+    # array would raise the peak memory of a large batch.
+    return np.negative(total, out=total) if total.ndim else -total
 
 
 def goldstein_price(x) -> float | Array:
@@ -115,22 +116,13 @@ def sphere(x) -> float | Array:
     if x.ndim == 0 or x.shape[-1] < 1:
         raise ValueError("sphere needs at least one coordinate")
     if _in_columns(x):
-        return _column_sums(np.multiply(x.T, x.T, order="C"))
+        return np.add.reduce(np.multiply(x.T, x.T, order="C"), axis=0)
     return np.add.reduce(x * x, axis=-1)
 
 
 def _in_columns(x: Array) -> bool:
     """Whether ``x`` is a batch to evaluate in column layout (module docstring)."""
     return x.ndim == 2 and 1 < x.shape[1] < 8 and len(x) >= _COLUMN_ROWS * x.shape[1]
-
-
-def _column_sums(terms: Array) -> Array:
-    """The sums of the columns of a (k, n) array with k < 8, each added from
-    0.0 down the rows: ``np.add.reduce(terms.T, axis=-1)``, bit for bit."""
-    total = terms[0] + 0.0
-    for row in terms[1:]:
-        total += row
-    return total
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 import csv
 import errno
 import json
-import locale
 import os
 import resource
 import subprocess
@@ -161,6 +160,30 @@ def test_config_file_rejects_malformed_line(tmp_path):
         read_config_file(path)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("objective = sphere\nbogus = 1\n", "2: unknown key 'bogus'"),
+    ("objective sphere\n", "1: expected 'key = value', got 'objective sphere'"),
+], ids=["unknown-key", "malformed"])
+def test_config_file_fault_is_one_config_error_line(tmp_path, text, line):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    proc = _run_module(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")],
+                       tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: config: {path}:{line}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_config_file_with_a_byte_order_mark_parses_as_without(tmp_path):
+    text = "objective = sphere\ndim = 3\nseed = 7\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_config_file(marked) == read_config_file(plain)
+    assert parse_config(["--config", str(marked)]) == parse_config(["--config", str(plain)])
+
+
 @pytest.mark.parametrize("name,reason", [
     ("missing.cfg", "No such file or directory"),
     (".", "Is a directory"),
@@ -177,8 +200,6 @@ def test_unreadable_config_file_is_one_error_line(tmp_path, name, reason):
 def test_config_file_that_does_not_decode_is_a_config_error(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_bytes(b"objective = sph\xffre\n")
-    if locale.getpreferredencoding(False).lower().replace("-", "") != "utf8":
-        pytest.skip("the bytes only fail to decode as UTF-8")
     with pytest.raises(ConfigError, match=r"^config: .*exp\.cfg: 'utf-8' codec can't decode"):
         read_config_file(path)
 
@@ -285,7 +306,7 @@ def test_config_file_fuzz_gives_a_config_or_names_a_setting(objective, lines):
         text += f"{key.replace('_', '-') if dashed else key} = {value}\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "exp.cfg"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         try:
             cfg = parse_config(["--config", str(path)])
         except ConfigError as err:

@@ -234,13 +234,14 @@ _MAGNITUDES = st.floats(0.0, 16.0).map(lambda e: 10.0 ** e)
 @settings(max_examples=300, deadline=None)
 @given(k=st.integers(1, 7), n=st.integers(0, 50), data=st.data())
 def test_column_sums_add_in_the_order_of_reduce(k, n, data):
-    """Summed as the columns of ``x.T``, the rows of ``x`` give the bits of
-    ``np.add.reduce``; terms of either sign between 1 and 1e16 round
+    """Reduced along axis 0 of the C-ordered ``x.T``, as the column layout
+    sums its terms, the rows of ``x`` give the bits of ``np.add.reduce``
+    along the last axis; terms of either sign between 1 and 1e16 round
     differently in almost any other order, and signed zeros check the 0.0
     the sums start from."""
     terms = st.one_of(_MAGNITUDES, _MAGNITUDES.map(lambda v: -v), st.sampled_from([0.0, -0.0]))
     x = data.draw(arrays(np.float64, (n, k), elements=terms))
-    got = objectives._column_sums(np.ascontiguousarray(x.T))
+    got = np.add.reduce(np.ascontiguousarray(x.T), axis=0)
     assert got.tobytes() == np.add.reduce(x, axis=-1).tobytes()
 
 
@@ -380,6 +381,7 @@ def test_split_batch_under_frequent_thread_switches():
     points = np.random.default_rng(0).uniform(0.0, np.pi, size=(8 * 257 + 5, 3))
     want = plain.fn(points).tobytes()
     interval = sys.getswitchinterval()
+    before = threading.active_count()
     sys.setswitchinterval(1e-6)
     try:
         rounds, deadline = 0, time.monotonic() + 2.0
@@ -392,6 +394,7 @@ def test_split_batch_under_frequent_thread_switches():
     finally:
         sys.setswitchinterval(interval)
     assert rounds >= 1
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("cpus", [2, 8])
