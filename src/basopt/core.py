@@ -41,6 +41,7 @@ results carry each seed as a Python ``int``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Container, Iterator, Optional, Sequence
 
@@ -182,6 +183,8 @@ class BasConfig:
             raise ValueError(f"delta0 must be finite and > 0, got {self.delta0}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.max_iters > sys.maxsize:
+            raise ValueError(f"max_iters must be <= {sys.maxsize}, got {self.max_iters}")
         object.__setattr__(self, "seed", _as_seed(self.seed))
         if (self.x0 is None) == (self.init_box is None):
             raise ValueError("exactly one of x0 and init_box must be set")

@@ -3,9 +3,8 @@
 The raw functions accept a single point of shape (k,) or a batch of shape
 (n, k) and reduce over the last axis; ``Objective`` wraps them with a bound
 dimension, a default initialization box, and the known optimum where one is
-established. All functions are pure and row-wise. ``Objective.batch`` splits
-a large batch of an objective that gains from it into contiguous row ranges
-evaluated on the usable CPUs.
+established. All functions are pure and row-wise. ``Objective.batch``
+evaluates a batch in one ``fn`` call on the calling thread.
 
 A batch of k = 2 to 7 coordinates and at least ``_COLUMN_ROWS * k`` rows goes
 through ``michalewicz`` and ``sphere`` in column layout: every step works on
@@ -20,9 +19,7 @@ the row layout, as do single points and smaller batches.
 
 from __future__ import annotations
 
-import os
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,14 +32,6 @@ Array = np.ndarray
 # (2.20319, 1.57049)).
 MICHALEWICZ_2D_ARGMIN = (2.202905513296628, 1.570796322320509)
 MICHALEWICZ_2D_MIN = -1.8013034100985499
-
-# Elements (rows * k) per range of a split Michalewicz batch. Starting and
-# joining a thread costs about 0.15 ms, and up to 0.7 ms when the host is
-# busy. On a busy 2-CPU VM (numpy 2.4, medians of 200-300 interleaved calls)
-# two ranges of 2^15 elements take 0.97-0.99x the serial 3.8 ms for 2-D
-# Michalewicz, a grid chunk of 65000 points split in two 0.95-0.96x, and two
-# ranges of 2^14 1.02-1.04x. Cheaper objectives split from larger batches.
-_MIN_PART = 1 << 15
 
 # Rows per coordinate from which a batch of k = 2 to 7 coordinates is
 # evaluated in column layout. Its numpy calls cost more to start: on a 2-CPU
@@ -130,14 +119,9 @@ class Objective:
     """A benchmark function bound to a concrete dimension.
 
     ``fn`` is batch-capable (maps (..., k) to (...)) and row-wise: row i's
-    value depends only on row i, whatever the other rows. It must be safe to
-    call from several threads at once. Calling the objective evaluates a
-    single point and returns a builtin float; ``batch`` maps an (n, k) array
-    of points to an (n,) array of values. A batch of at least ``split_from``
-    elements (``n * k``) is cut into contiguous row ranges, at
-    most one per usable CPU and per ``split_from / 2`` elements, and ``fn``
-    runs on each range in a thread of its own; by the contract above the
-    values are those of one ``fn`` call, bit for bit.
+    value depends only on row i, whatever the other rows. Calling the
+    objective evaluates a single point and returns a builtin float;
+    ``batch`` maps an (n, k) array of points to an (n,) array of values.
     """
 
     name: str
@@ -145,7 +129,6 @@ class Objective:
     fn: Callable[[Array], float | Array]
     init_box: tuple
     known_optimum: Optional[tuple] = None  # ((coords...), value)
-    split_from: int = 2 * _MIN_PART
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -159,66 +142,16 @@ class Objective:
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError(
                 f"{self.name} expects points of shape (n, {self.dimension}), got {points.shape}")
-        parts = 1
-        if points.size >= self.split_from:
-            parts = min(2 * points.size // self.split_from, len(points), _usable_cpus())
-        if parts < 2:
-            return np.asarray(self.fn(points), dtype=float)
-        return _split_batch(self.fn, points, parts)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _split_batch(fn, points: Array, parts: int) -> Array:
-    """``fn`` on ``parts`` contiguous row ranges of ``points``, the first on
-    this thread and each other one on a thread of its own, concatenated in
-    order. Every thread has finished before this returns or raises the first
-    failing range's exception."""
-    edges = [len(points) * j // parts for j in range(parts + 1)]
-    values, errors = [None] * parts, [None] * parts
-    # A new thread starts from numpy's default error state, not the caller's.
-    state = dict(np.geterr(), call=np.geterrcall())
-
-    def evaluate(j):
-        try:
-            with np.errstate(**state):
-                values[j] = np.asarray(fn(points[edges[j]:edges[j + 1]]), dtype=float)
-        except BaseException as err:  # re-raised on the calling thread below
-            errors[j] = err
-
-    threads = [threading.Thread(target=evaluate, args=(j,)) for j in range(1, parts)]
-    for thread in threads:
-        thread.start()
-    evaluate(0)
-    for thread in threads:
-        thread.join()
-    for err in errors:
-        if err is not None:
-            raise err
-    return np.concatenate(values)
+        return np.asarray(self.fn(points), dtype=float)
 
 
 # name -> (function, fixed dimension or None for any k >= 1, (lo, hi) of every
-# axis of the default box, known optimum at dimension k or None, elements from
-# which a batch splits across CPUs). The cheaper an element, the larger a
-# batch must be before two threads beat one. On a 2-CPU VM (numpy 2.4), split
-# in two, Goldstein-Price takes 1.06-1.08x its serial time at 2^16 elements
-# and 0.73-0.91x at 2^17. Sphere, a thirtieth of Michalewicz's cost per
-# element in column layout, takes 2.0-2.3x at 2^17 elements (2-D), about 1.0x
-# at 2^19 (2-D) and 0.84x at 3 * 2^18 (3-D); in row layout (k >= 8) 1.13x at
-# 10 * 2^14 and 0.67-0.74x from 10 * 2^15 (10-D).
+# axis of the default box, known optimum at dimension k or None).
 _REGISTRY = {
     "michalewicz": (michalewicz, None, (0.0, np.pi),
-                    lambda k: (MICHALEWICZ_2D_ARGMIN, MICHALEWICZ_2D_MIN) if k == 2 else None,
-                    2 * _MIN_PART),
-    "goldstein_price": (goldstein_price, 2, (-2.0, 2.0), lambda k: ((0.0, -1.0), 3.0),
-                        1 << 17),
-    "sphere": (sphere, None, (-1.0, 1.0), lambda k: ((0.0,) * k, 0.0), 1 << 19),
+                    lambda k: (MICHALEWICZ_2D_ARGMIN, MICHALEWICZ_2D_MIN) if k == 2 else None),
+    "goldstein_price": (goldstein_price, 2, (-2.0, 2.0), lambda k: ((0.0, -1.0), 3.0)),
+    "sphere": (sphere, None, (-1.0, 1.0), lambda k: ((0.0,) * k, 0.0)),
 }
 
 
@@ -232,7 +165,7 @@ def lookup_objective(name: str, dimension: int) -> Objective:
     if name not in _REGISTRY:
         raise ValueError(
             f"objective {name!r} is unknown; valid names: {', '.join(objective_names())}")
-    fn, fixed_dim, axis, optimum, split_from = _REGISTRY[name]
+    fn, fixed_dim, axis, optimum = _REGISTRY[name]
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if dimension > sys.maxsize:
@@ -240,4 +173,4 @@ def lookup_objective(name: str, dimension: int) -> Objective:
     if fixed_dim is not None and dimension != fixed_dim:
         raise ValueError(f"dimension must be {fixed_dim} for {name}, got {dimension}")
     return Objective(name=name, dimension=dimension, fn=fn, init_box=(axis,) * dimension,
-                     known_optimum=optimum(dimension), split_from=split_from)
+                     known_optimum=optimum(dimension))

@@ -366,21 +366,6 @@ def test_summary_trials_are_run_results_without_rows(tmp_path):
     assert len((tmp_path / "traj_002.csv").read_text().splitlines()) == 1 + 100
 
 
-@pytest.mark.parametrize("flags", [
-    ["--dim", "2", "--iters", "100", "--trials", "200", "--traj", "none"],
-    ["--dim", "10", "--iters", "100", "--trials", "500", "--clamp", "--stall", "20",
-     "--traj", "all"],
-], ids=["mich2d_search", "mich10d_ragged"])
-def test_campaign_batches_are_never_split(tmp_path, monkeypatch, flags):
-    """The benchmark's campaigns hand ``Objective.batch`` at most a few
-    thousand elements, far below a split, so they run on one thread."""
-    def split(*args):
-        raise AssertionError("a campaign batch was split")
-    monkeypatch.setattr(objectives, "_split_batch", split)
-    monkeypatch.setattr(objectives, "_usable_cpus", lambda: 8)
-    run_campaign(parse_config(["--objective", "michalewicz", "--out-dir", str(tmp_path)] + flags))
-
-
 def test_summary_aggregates_recompute(tmp_path):
     cfg = _cfg(tmp_path, objective="michalewicz", trials=8, traj="none")
     summary = run_campaign(cfg)
@@ -703,7 +688,7 @@ def test_box_whose_width_overflows_is_one_error_line(tmp_path, argv, field):
 def test_oracle_box_without_a_finite_value_is_one_error_line(tmp_path, argv, error):
     """Nodes that overflow, or a sphere that overflows at every point, are
     refused with one line, no traceback and no RuntimeWarning lines, also
-    when the batches are large enough to be split across threads."""
+    over several batches of up to 65,536 points."""
     proc = _run_module(["oracle", argv[0], "--objective", "sphere"] + argv[1:], tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {error}"]
@@ -815,7 +800,9 @@ def test_invalid_config_creates_no_out_dir(tmp_path, capsys):
      "traj: must be one of ('all', 'first', 'none'), got 'foo'"),
     ({"objective": "sphere", "seed": "-1"}, ("random",),
      "seed: must be a non-negative integer, got -1"),
-], ids=["objective", "dim", "traj", "seed"])
+    ({"objective": "sphere", "iters": "99999999999999999999", "stall": "1"}, (),
+     f"iters: must be <= {sys.maxsize}, got 99999999999999999999"),
+], ids=["objective", "dim", "traj", "seed", "iters"])
 def test_a_bad_value_is_the_same_line_from_a_flag_a_file_or_an_oracle(
         tmp_path, capsys, values, oracles, error):
     """One check per input: no usage block, exit 2 and nothing written."""

@@ -1,5 +1,7 @@
 """Unit tests for the search state machine."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,9 @@ def test_config_validation():
         BasConfig(dimension=1, x0=(0.0,), delta0=-1.0)
     with pytest.raises(ValueError):
         BasConfig(dimension=1, x0=(0.0,), max_iters=0)
+    with pytest.raises(ValueError, match=f"^max_iters must be <= {sys.maxsize}, got {10 ** 20}$"):
+        BasConfig(dimension=1, x0=(0.0,), max_iters=10 ** 20, stall_iters=1)
+    assert BasConfig(dimension=1, x0=(0.0,), max_iters=sys.maxsize).max_iters == sys.maxsize
     with pytest.raises(ValueError):
         BasConfig(dimension=2)  # neither x0 nor init_box
     with pytest.raises(ValueError):

@@ -1,11 +1,6 @@
 """Tests for the benchmark objectives and the registry."""
 
-import dataclasses
-import os
-import sys
 import threading
-import time
-import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -16,16 +11,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from basopt import objectives
+from basopt.cli import parse_config, run_campaign
 from basopt.objectives import (
     MICHALEWICZ_2D_ARGMIN,
     MICHALEWICZ_2D_MIN,
-    Objective,
     goldstein_price,
     lookup_objective,
     michalewicz,
     objective_names,
     sphere,
 )
+from basopt.oracle import GridSpec, grid_search, random_search_baseline
 
 
 # ---------------------------------------------------------------------------
@@ -321,165 +317,20 @@ def test_objective_batch_shape():
 
 
 # ---------------------------------------------------------------------------
-# Objective.batch split across threads
+# Objective.batch on the calling thread
 
-@contextmanager
-def _split_at(cpus):
-    """``Objective.batch`` seeing ``cpus`` usable CPUs."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(objectives, "_usable_cpus", lambda: cpus)
-        yield
-
-
-def _counting(obj, split_from):
-    """``obj`` splitting from ``split_from`` elements, with an ``fn`` that
-    records the row count of every call."""
-    calls = []
-
-    def fn(x):
-        calls.append(len(x))
-        return obj.fn(x)
-    return Objective(name=obj.name, dimension=obj.dimension, fn=fn,
-                     init_box=obj.init_box, split_from=split_from), calls
-
-
-_SPLIT_CASES = ([("michalewicz", k) for k in (1, 2, 3, 8, 9, 10, 33)]
-                + [("sphere", k) for k in (1, 2, 3, 8, 9, 10, 33)]
-                + [("goldstein_price", 2)])
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=st.sampled_from(_SPLIT_CASES),
-       n=st.one_of(st.sampled_from([0, 1, 9, 17, 23]), st.integers(0, 60)),
-       min_part=st.sampled_from([1, 2, 5, 16]), cpus=st.sampled_from([2, 8]), data=st.data())
-def test_split_batch_matches_one_fn_call_bit_for_bit(case, n, min_part, cpus, data):
-    """Cut into ranges or not, ``batch`` returns the bits of one ``fn`` call
-    over all rows, NaN payloads aside, with overflowing, infinite, NaN and
-    signed-zero coordinates."""
-    name, k = case
-    plain = lookup_objective(name, k)
-    obj, calls = _counting(plain, 2 * min_part)
-    coords = st.one_of(st.floats(-1e300, 1e300),
-                       st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
-    points = data.draw(arrays(np.float64, (n, k), elements=coords))
-    with np.errstate(all="ignore"):
-        want = np.asarray(plain.fn(points), dtype=float)
-        with _split_at(cpus):
-            got = obj.batch(points)
-    assert len(calls) == max(1, min(n * k // min_part, n, cpus))
-    assert sum(calls) == n and max(calls) - min(calls) <= 1
-    assert got.shape == (n,)
-    assert _nan_canonical_bytes(got) == _nan_canonical_bytes(want)
-
-
-def test_split_batch_under_frequent_thread_switches():
-    """More ranges than CPUs and a thread switch every microsecond, for at
-    most two seconds: every batch is one ``fn`` call's bits and its ranges
-    cover each row once."""
-    plain = lookup_objective("michalewicz", 3)
-    obj, calls = _counting(plain, 32)
-    points = np.random.default_rng(0).uniform(0.0, np.pi, size=(8 * 257 + 5, 3))
-    want = plain.fn(points).tobytes()
-    interval = sys.getswitchinterval()
-    before = threading.active_count()
-    sys.setswitchinterval(1e-6)
-    try:
-        rounds, deadline = 0, time.monotonic() + 2.0
-        with _split_at(8):
-            while rounds < 100 and time.monotonic() < deadline:
-                calls.clear()
-                assert obj.batch(points).tobytes() == want
-                assert len(calls) == 8 and sum(calls) == len(points)
-                rounds += 1
-    finally:
-        sys.setswitchinterval(interval)
-    assert rounds >= 1
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("cpus", [2, 8])
-@pytest.mark.parametrize("failing", ["later", "first"])
-def test_split_batch_raises_the_first_failing_range(cpus, failing):
-    """Only the first range, or every range but the first, raises: the
-    caller gets the exception of the first range that failed, after every
-    thread has ended."""
-    starts = []
-
-    def fn(x):
-        start = int(x[0, 0])
-        starts.append(start)
-        if (start > 0) == (failing == "later"):
-            raise ValueError(f"range from row {start}")
-        return np.add.reduce(x, axis=-1)
-    obj = Objective(name="ranges", dimension=1, fn=fn, init_box=((0.0, 1.0),), split_from=2)
-    before = threading.active_count()
-    with _split_at(cpus), pytest.raises(ValueError) as exc:
-        obj.batch(np.arange(10.0)[:, None])
-    assert threading.active_count() == before
-    assert len(starts) == cpus
-    assert str(exc.value) == f"range from row {sorted(starts)[failing == 'later']}"
-
-
-def test_split_batch_runs_under_the_callers_error_state():
-    """A new thread starts from numpy's default error state: only the second
-    range overflows, and it raises or stays silent as the caller asked."""
-    obj = dataclasses.replace(lookup_objective("sphere", 3),
-                              split_from=2 * objectives._MIN_PART)
-    points = np.zeros((2 * objectives._MIN_PART, 3))
-    points[objectives._MIN_PART:] = 1e200
-    with _split_at(2):
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            obj.batch(points)
-        with warnings.catch_warnings(), np.errstate(over="ignore"):
-            warnings.simplefilter("error")
-            values = obj.batch(points)
-    assert np.all(values[:objectives._MIN_PART] == 0.0)
-    assert np.all(values[objectives._MIN_PART:] == np.inf)
-
-
-def test_one_usable_cpu_makes_one_fn_call():
-    obj, calls = _counting(lookup_objective("michalewicz", 2), 2 * objectives._MIN_PART)
-    with _split_at(1):
-        obj.batch(np.zeros((8 * objectives._MIN_PART, 2)))
-    assert calls == [8 * objectives._MIN_PART]
-
-
-def _thread_starts(obj, rows):
-    """Threads started by ``obj.batch`` over ``rows`` points."""
-    start = threading.Thread.start
-    with mock.patch.object(threading.Thread, "start", autospec=True, side_effect=start) as spy:
-        assert obj.batch(np.zeros((rows, obj.dimension))).shape == (rows,)
-    return spy.call_count
-
-
-@pytest.mark.parametrize("name,k,split_from", [
-    ("michalewicz", 2, 2 * objectives._MIN_PART), ("goldstein_price", 2, 1 << 17),
-    ("sphere", 2, 1 << 19), ("sphere", 8, 1 << 19)])
-def test_registry_batches_split_from_their_threshold(name, k, split_from):
-    """Each objective splits only batches large enough to gain from a second
-    thread: a 2^17-element sphere batch starts none."""
-    obj = lookup_objective(name, k)
-    assert obj.split_from == split_from
-    with _split_at(2):
-        assert _thread_starts(obj, (1 << 17) // k) == (split_from <= 1 << 17)
-        assert _thread_starts(obj, split_from // k - 1) == 0
-        assert _thread_starts(obj, split_from // k) == 1
-
-
-def test_hand_built_objective_splits_from_the_default_threshold():
-    """An ``Objective`` not from the registry splits from ``2 * _MIN_PART``
-    elements, as every objective did before thresholds per objective."""
-    obj = Objective(name="sum", dimension=2, fn=lambda x: np.add.reduce(x, axis=-1),
-                    init_box=((0.0, 1.0),) * 2)
-    assert obj.split_from == 2 * objectives._MIN_PART
-    with _split_at(2):
-        assert _thread_starts(obj, objectives._MIN_PART - 1) == 0
-        assert _thread_starts(obj, objectives._MIN_PART) == 1
-
-
-def test_usable_cpus_without_an_affinity_call(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert objectives._usable_cpus() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert objectives._usable_cpus() == 1
+def test_no_workload_starts_a_thread(tmp_path):
+    """The 1000^2 grid, a random search over several 65,536-point chunks and
+    the benchmark's two campaigns evaluate every batch on the calling thread."""
+    mich2 = lookup_objective("michalewicz", 2)
+    campaigns = [
+        ["--dim", "2", "--iters", "100", "--trials", "200", "--traj", "none"],
+        ["--dim", "10", "--iters", "100", "--trials", "500", "--clamp", "--stall", "20",
+         "--traj", "all"]]
+    with mock.patch.object(threading.Thread, "start",
+                           side_effect=AssertionError("a thread was started")):
+        grid_search(mich2, GridSpec(box=mich2.init_box, resolution=1000))
+        random_search_baseline(mich2, mich2.init_box, 200_000, np.random.default_rng(0))
+        for i, flags in enumerate(campaigns):
+            run_campaign(parse_config(
+                ["--objective", "michalewicz", "--out-dir", str(tmp_path / str(i))] + flags))
