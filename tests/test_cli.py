@@ -8,9 +8,11 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -365,6 +367,18 @@ def test_summary_trials_are_run_results_without_rows(tmp_path):
         assert not trial.trajectory.flags.writeable
     assert len((tmp_path / "traj_002.csv").read_text().splitlines()) == 1 + 100
 
+
+@pytest.mark.parametrize("flags", [
+    ["--dim", "2", "--iters", "100", "--trials", "200", "--traj", "none"],
+    ["--dim", "10", "--iters", "100", "--trials", "500", "--clamp", "--stall", "20",
+     "--traj", "all"],
+], ids=["mich2d_search", "mich10d_ragged"])
+def test_campaign_batches_are_never_split(tmp_path, flags):
+    """The benchmark's campaigns evaluate every batch on the calling thread."""
+    with mock.patch.object(threading.Thread, "start",
+                           side_effect=AssertionError("a thread was started")):
+        run_campaign(parse_config(["--objective", "michalewicz", "--out-dir", str(tmp_path)]
+                                  + flags))
 
 def test_summary_aggregates_recompute(tmp_path):
     cfg = _cfg(tmp_path, objective="michalewicz", trials=8, traj="none")

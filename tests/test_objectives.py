@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from basopt import objectives
-from basopt.cli import parse_config, run_campaign
 from basopt.objectives import (
     MICHALEWICZ_2D_ARGMIN,
     MICHALEWICZ_2D_MIN,
@@ -319,18 +318,11 @@ def test_objective_batch_shape():
 # ---------------------------------------------------------------------------
 # Objective.batch on the calling thread
 
-def test_no_workload_starts_a_thread(tmp_path):
-    """The 1000^2 grid, a random search over several 65,536-point chunks and
-    the benchmark's two campaigns evaluate every batch on the calling thread."""
+def test_no_workload_starts_a_thread():
+    """The 1000^2 grid and a random search over several 65,536-point chunks
+    evaluate every batch on the calling thread."""
     mich2 = lookup_objective("michalewicz", 2)
-    campaigns = [
-        ["--dim", "2", "--iters", "100", "--trials", "200", "--traj", "none"],
-        ["--dim", "10", "--iters", "100", "--trials", "500", "--clamp", "--stall", "20",
-         "--traj", "all"]]
     with mock.patch.object(threading.Thread, "start",
                            side_effect=AssertionError("a thread was started")):
         grid_search(mich2, GridSpec(box=mich2.init_box, resolution=1000))
         random_search_baseline(mich2, mich2.init_box, 200_000, np.random.default_rng(0))
-        for i, flags in enumerate(campaigns):
-            run_campaign(parse_config(
-                ["--objective", "michalewicz", "--out-dir", str(tmp_path / str(i))] + flags))
