@@ -33,6 +33,7 @@ from .objectives import lookup_objective, objective_names
 from .oracle import GridSpec, grid_search, random_search_baseline
 
 _TRAJ_MODES = ("all", "first", "none")
+_CSV_VALUES = 1 << 16  # floats that emit_trajectory formats per write
 
 
 class ConfigError(ValueError):
@@ -87,12 +88,12 @@ class ExperimentConfig:
     objective: Optional[str] = _setting(None, str, "objective to minimize (required): "
                                         + ", ".join(objective_names()))
     dim: int = _setting(2, int, "search-space dimension")
-    iters: int = _setting(100, int, "iterations per trial")
-    d0: float = _setting(2.0, float, "initial antenna length")
-    delta0: float = _setting(0.5, float, "initial step size")
-    eta_d: float = _setting(0.95, float, "antenna decay rate")
-    offset_d: float = _setting(0.01, float, "antenna decay offset")
-    eta_delta: float = _setting(0.95, float, "step decay rate")
+    iters: int = _setting(BasConfig.max_iters, int, "iterations per trial")
+    d0: float = _setting(BasConfig.d0, float, "initial antenna length")
+    delta0: float = _setting(BasConfig.delta0, float, "initial step size")
+    eta_d: float = _setting(BasConfig.d_schedule.rate, float, "antenna decay rate")
+    offset_d: float = _setting(BasConfig.d_schedule.offset, float, "antenna decay offset")
+    eta_delta: float = _setting(BasConfig.delta_schedule.rate, float, "step decay rate")
     trials: int = _setting(1, int, "independent runs")
     seed: int = _setting(0, int, "campaign master seed")
     init_box: Optional[tuple] = _setting(None, parse_box_spec,
@@ -210,6 +211,8 @@ def _validate(cfg: ExperimentConfig) -> BasConfig:
     objective, init_box = _objective_and_box(cfg.objective, cfg.dim, cfg.init_box, "init-box")
     if cfg.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {cfg.trials}")
+    if cfg.trials > sys.maxsize:
+        raise ConfigError(f"trials: must be <= {sys.maxsize}, got {cfg.trials}")
     if cfg.traj not in _TRAJ_MODES:
         raise ConfigError(f"traj: must be one of {_TRAJ_MODES}, got {cfg.traj!r}")
     with _naming(rate="eta_d", offset="offset_d"):
@@ -229,19 +232,28 @@ def _validate(cfg: ExperimentConfig) -> BasConfig:
 
 
 def _check_reach(objective, search: BasConfig) -> None:
-    """Refuse a ``d0`` or ``delta0`` that carries the first step from a finite
-    value to a non-finite one: one batch evaluates the objective at the far
-    corner of the init box, ``max(|lo|, |hi|)`` on every axis, and at
-    ``d0 + delta0`` beyond that on every axis. A corner whose own value is
-    not finite is left to the search. The error names the larger setting."""
+    """Refuse a ``d0``, ``offset-d`` or ``delta0`` that carries a step from a
+    finite value to a non-finite one. One batch evaluates the objective at
+    the init box's far corner, ``max(|lo|, |hi|)`` on every axis, and at
+    ``d + delta0`` beyond it, ``d`` the largest antenna length the schedule
+    reaches: ``max(d0, offset / (1 - rate))``, or ``d0 + (iters - 1) * offset``
+    at rate 1. A corner that is not finite itself is left to the search.
+    The error names the largest of ``d0``, that growth and ``delta0``."""
+    spec, d0, delta0 = search.d_schedule, search.d0, search.delta0
+    steady = spec.rate < 1.0
+    growth = spec.fixed_point() if steady else (search.max_iters - 1) * spec.offset
+    d = max(d0, growth) if steady else d0 + growth
     corner = np.abs(np.asarray(search.init_box)).max(axis=1)
-    points = np.stack((corner, corner + search.d0 + search.delta0))
     with np.errstate(all="ignore"):
-        at_corner, beyond = objective.batch(points)
+        at_corner, beyond = objective.batch(np.stack((corner, corner + d + delta0)))
     if np.isfinite(at_corner) and not np.isfinite(beyond):
-        name = "d0" if search.d0 >= search.delta0 else "delta0"
-        raise ConfigError(f"{name}: too large, got {getattr(search, name)!r}: the objective is "
-                          f"{float(beyond)!r} at d0 + delta0 beyond the far corner of the init box")
+        terms = {"d0": d0, "offset-d": growth, "delta0": delta0}
+        name = max(terms, key=terms.get)  # the first of equal terms
+        value = spec.offset if name == "offset-d" else terms[name]
+        reach = ("d0" if d == d0 else "offset-d / (1 - eta-d)" if steady
+                 else "d0 + (iters - 1) * offset-d")
+        raise ConfigError(f"{name}: too large, got {value!r}: the objective is {float(beyond)!r} "
+                          f"at {reach} + delta0 beyond the far corner of the init box")
 
 
 def _merge_run_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -274,27 +286,23 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def emit_trajectory(result: RunResult, path, schedule_text: dict) -> None:
+def emit_trajectory(result: RunResult, path) -> None:
     """Write one CSV row per iteration: t, objective at x, best so far, the
     antenna length and step size used, then the coordinates of x. Floats
     are rendered with repr, which round-trips to the identical double.
 
-    The rows are ``result.trajectory`` with ``t`` in front. The ``d,delta``
-    text is kept in ``schedule_text``, a dict that every call of a campaign
-    shares because its trials share one schedule. Equal doubles have equal
-    reprs except 0.0 and -0.0, so a pair with a zero is never kept.
+    The rows are ``result.trajectory`` with ``t`` in front. They are
+    formatted and written in chunks of at most ``_CSV_VALUES`` floats (at
+    least one row), so the writer's memory does not grow with the row count.
     """
-    lines = ["t,f_x,f_bst,d,delta," + ",".join(f"x_{j}" for j in range(len(result.x_bst)))]
-    for t, row in enumerate(result.trajectory.tolist(), 1):
-        d, delta = row[2], row[3]
-        d_delta_text = schedule_text.get((d, delta))
-        if d_delta_text is None:
-            d_delta_text = f"{d!r},{delta!r}"
-            if d and delta:
-                schedule_text[d, delta] = d_delta_text
-        lines.append(f"{t},{row[0]!r},{row[1]!r},{d_delta_text},"
-                     + ",".join(map(repr, row[4:])))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = result.trajectory
+    step = max(1, _CSV_VALUES // rows.shape[1])
+    with open(path, "w", buffering=1 << 16) as f:  # one write call for a file up to 64 KiB
+        f.write("t,f_x,f_bst,d,delta," + ",".join(f"x_{j}" for j in range(len(result.x_bst))))
+        for start in range(0, len(rows), step):
+            f.write("".join([f"\n{t},{','.join(map(repr, row))}" for t, row in
+                             enumerate(rows[start:start + step].tolist(), start + 1)]))
+        f.write("\n")
 
 
 def emit_summary(summary: CampaignSummary, path) -> None:
@@ -381,14 +389,13 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     with _staged(cfg.out_dir) as out_dir:
         started = time.perf_counter()
         seeds = derive_trial_seeds(cfg.seed, cfg.trials)
-        written = range({"all": cfg.trials, "first": 1, "none": 0}[cfg.traj])
-        schedule_text = {}  # shared by the trajectories: every trial has one schedule
+        written = {"all": cfg.trials, "first": 1, "none": 0}[cfg.traj]
         rowless = np.empty((0, 4 + cfg.dim))  # a written trial's trajectory in the
         rowless.flags.writeable = False       # summary, so that it keeps no rows alive
         trials = []
         for i, result in enumerate(run_trials(cfg.search, objective, seeds, record=written)):
-            if i in written:
-                emit_trajectory(result, out_dir / f"traj_{i:03d}.csv", schedule_text)
+            if i < written:
+                emit_trajectory(result, out_dir / f"traj_{i:03d}.csv")
                 result = replace(result, trajectory=rowless)
             trials.append(result)
         duration = time.perf_counter() - started

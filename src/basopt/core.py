@@ -20,10 +20,10 @@ The block's state is held compacted to its running beetles, so a step works
 on dense arrays; the arrays shrink, and a stopped beetle's result is set
 aside, only on an iteration where some beetle stops or fails.
 A block takes as many consecutive trials as fit a 1 MiB budget for their
-direction chunks, antenna tips and, for recorded trials, their full
-history; the history is allocated one chunk of rows at first and doubles
-only while the search runs on. Neither the block partition nor the chunk
-length enters any trial's arithmetic. ``run`` is its single-trial case.
+direction chunks, antenna tips and, for the recorded trials (a leading
+count), their full history, allocated one chunk of rows at first and
+doubled only while the search runs on. Neither the block partition nor the
+chunk length enters any trial's arithmetic. ``run`` is its single-trial case.
 
 A block's per-trial set-up is done for the block at once: the generators'
 ``SeedSequence`` hashes on uint32 arrays (``_seed_states``, also behind a
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Container, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -401,48 +401,45 @@ def _finite(values: Array, points: Array, rows: Array, t: int, failures: dict) -
 
 
 def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
-               record: Container[int] = ()) -> Iterator[RunResult]:
+               record: int = 0) -> Iterator[RunResult]:
     """Run one search per seed under ``config`` and yield the results in order.
 
     Each trial is exactly ``run`` with ``config.seed`` replaced by its seed
-    (the config's own seed is not used). Trials whose position in ``seeds``
-    is in ``record`` carry their trajectory; the others get an empty one.
-    Trials move in lockstep blocks of consecutive seeds, as many as fit
-    ``_BLOCK_BYTES`` of direction, antenna-tip and history arrays (always at
-    least one), and each block's results are yielded when the block
-    finishes. If an objective value is not finite, the results before the
-    lowest failing trial are yielded and then its ``ObjectiveError`` is
-    raised, with ``trial`` set to its position and ``seed`` to its seed.
+    (the config's own seed is not used). The first ``record`` trials carry
+    their trajectory; the others get an empty one. Trials move in lockstep
+    blocks of consecutive seeds (``_blocks``), and each block's results are
+    yielded when the block finishes. If an objective value is not finite,
+    the results before the lowest failing trial are yielded and then its
+    ``ObjectiveError`` is raised, with ``trial`` set to its position and
+    ``seed`` to its seed.
     """
     seeds = [_as_seed(seed) for seed in seeds]
-    kept = [i in record for i in range(len(seeds))]
-    for block in _blocks(config, kept):
-        keep = np.array(kept[block.start:block.stop], dtype=bool)
+    for block in _blocks(config, len(seeds), record):
         yield from _run_block(config, objective, seeds[block.start:block.stop],
-                              keep, block.start)
+                              len(range(block.start, min(block.stop, record))), block.start)
 
 
-def _blocks(config: BasConfig, kept: Sequence[bool]) -> Iterator[range]:
-    """Split the trials into consecutive ranges whose engine arrays fit
+def _blocks(config: BasConfig, n: int, record: int) -> Iterator[range]:
+    """Split ``n`` trials into consecutive ranges whose engine arrays fit
     ``_BLOCK_BYTES``; a trial too large for the budget runs alone.
 
     A trial costs its chunk of directions and its two antenna tips, plus its
-    history if ``kept`` (``max_iters`` trajectory rows of ``4 + k`` floats):
-    ``_run_block`` grows the history only as the search runs, so this bounds
-    the most it can take.
+    history if it is one of the first ``record`` (``max_iters`` trajectory
+    rows of ``4 + k`` floats): ``_run_block`` grows the history only as the
+    search runs, so this bounds the most it can take.
     """
     k = config.dimension
     directions = 8 * k * (min(config.max_iters, _DIRECTION_CHUNK) + 2)
     history = 8 * config.max_iters * (4 + k)
     first, size = 0, 0
-    for i, keep in enumerate(kept):
-        cost = directions + (history if keep else 0)
+    for i in range(n):
+        cost = directions + (history if i < record else 0)
         if i > first and size + cost > _BLOCK_BYTES:
             yield range(first, i)
             first, size = i, 0
         size += cost
-    if kept:
-        yield range(first, len(kept))
+    if n:
+        yield range(first, n)
 
 
 def _start_points(config: BasConfig, rngs: Sequence[np.random.Generator]) -> Array:
@@ -459,7 +456,7 @@ def _start_points(config: BasConfig, rngs: Sequence[np.random.Generator]) -> Arr
 
 
 def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
-               keep: Array, first: int) -> Iterator[RunResult]:
+               n_keep: int, first: int) -> Iterator[RunResult]:
     """``run_trials`` for one block, on the running trials only.
 
     The live state is compacted: position ``i`` of ``x``, ``x_bst``,
@@ -469,7 +466,8 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     follows its reference trajectory exactly. Only on an iteration where
     some row stops or fails is the state compacted, and a stopped row's
     incumbent, iteration count and termination written to the block's
-    outputs. Only rows flagged in ``keep`` store history. Floating-point
+    outputs. Block rows ``0 .. n_keep - 1`` store history; compaction keeps
+    ``rows`` sorted, so the live ones are ``rows[:kept]``. Floating-point
     warnings are silenced while the block runs, because every non-finite
     objective value already becomes an ``ObjectiveError``.
     """
@@ -483,11 +481,7 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     # order: those of live row i are directions[place[i]].
     directions = np.empty((n, chunk, k))
     tips = np.empty((2 * n, k))  # x + d*b for the live rows, then x - d*b
-    # Trajectories of the kept rows: slots[row] indexes hist, -1 if not kept;
-    # kept lists the live positions of the kept rows, and kept_slots their slots.
     # hist holds the first chunk's rows and doubles when the search outruns it.
-    slots = np.where(keep, np.cumsum(keep) - 1, -1)
-    n_keep = int(keep.sum())
     hist = np.empty((n_keep, chunk, 4 + k))
     # The block's outputs, by block row, written as rows stop.
     best_x, best_f = np.empty((n, k)), np.empty(n)
@@ -500,16 +494,14 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     x_bst = x.copy()
     stall = np.zeros(n, dtype=int)
     place = rows
-    kept = np.flatnonzero(keep)
-    kept_slots = slots[kept]
+    kept = n_keep  # live recorded rows
 
     def retain(ok, *extra):
         """Compact the live state, and the arrays ``extra``, to ``ok``."""
-        nonlocal rows, x, x_bst, f_bst, stall, place, kept, kept_slots
+        nonlocal rows, x, x_bst, f_bst, stall, place, kept
         rows, x, x_bst, f_bst, stall, place = (
             a[ok] for a in (rows, x, x_bst, f_bst, stall, place))
-        kept = np.flatnonzero(keep[rows])
-        kept_slots = slots[rows[kept]]
+        kept = int(np.searchsorted(rows, n_keep))
         return [a[ok] for a in extra]
 
     d, delta = config.d0, config.delta0
@@ -556,10 +548,10 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
             np.copyto(f_bst, f_new, where=improved)
             np.copyto(x_bst, x, where=improved[:, None])
             if n_keep:
-                hist[kept_slots, t, 0] = f_new[kept]
-                hist[kept_slots, t, 1] = f_bst[kept]
+                hist[rows[:kept], t, 0] = f_new[:kept]
+                hist[rows[:kept], t, 1] = f_bst[:kept]
                 hist[:, t, 2:4] = d, delta
-                hist[kept_slots, t, 4:] = x[kept]
+                hist[rows[:kept], t, 4:] = x[:kept]
             d = advance_schedule(d, config.d_schedule)
             delta = advance_schedule(delta, config.delta_schedule)
 
@@ -584,9 +576,9 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     best_x, best_f, ran = best_x.tolist(), best_f.tolist(), ran.tolist()
     for row in range(lowest):
         trajectory = unrecorded
-        if keep[row]:
+        if row < n_keep:
             # a copy, so that no result keeps the block's history alive
-            trajectory = hist[slots[row], :ran[row]].copy()
+            trajectory = hist[row, :ran[row]].copy()
             trajectory.flags.writeable = False
         yield RunResult(trajectory=trajectory,
                         x_bst=tuple(best_x[row]),
@@ -609,7 +601,7 @@ def run(config: BasConfig, objective: ObjectiveFn) -> RunResult:
     iterations with no improvement of the incumbent. This is ``run_trials``
     for the single seed ``config.seed``.
     """
-    return next(run_trials(config, objective, (config.seed,), record=(0,)))
+    return next(run_trials(config, objective, (config.seed,), record=1))
 
 
 def derive_trial_seed(master_seed: int, trial: int) -> int:

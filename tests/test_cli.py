@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import basopt
-from basopt import objectives
+from basopt import cli, objectives
 from basopt import BasConfig, ObjectiveError, RunResult, derive_trial_seed, lookup_objective, run
 from basopt.cli import (
     CampaignSummary,
@@ -500,7 +500,7 @@ def _trajectories(draw):
             f_bst = draw(_FLOATS)
         elif case != "repeat":
             f_x, f_bst = (-0.0, 0.0) if case == "-0.0/0.0" else (0.0, -0.0)
-        # from a small pool, so pairs recur and hit the shared schedule_text
+        # from a small pool, so pairs recur
         d_delta = draw(st.lists(_SPECIAL, min_size=2, max_size=2))
         rows.append([f_x, f_bst] + d_delta)
     return np.hstack((np.array(rows, dtype=float).reshape(n, 4), x))
@@ -509,7 +509,8 @@ def _trajectories(draw):
 @settings(max_examples=200, deadline=None)
 @given(trajectories=st.lists(_trajectories(), min_size=1, max_size=3))
 def test_emit_trajectory_matches_the_per_field_writer(trajectories):
-    schedule_text = {}  # one campaign: every call shares it
+    """The same bytes in one chunk, and in chunks of one row (a row is wider
+    than 4 values) or of a few rows with a shorter last one."""
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
         for trajectory in trajectories:
@@ -517,9 +518,30 @@ def test_emit_trajectory_matches_the_per_field_writer(trajectories):
             result = RunResult(trajectory=trajectory, x_bst=(0.0,) * k, f_bst=0.0,
                                evals=1 + 3 * len(trajectory), termination="max_iters",
                                seed=0)
-            emit_trajectory(result, new, schedule_text)
             legacy_emit_trajectory(result, old)
-            assert new.read_bytes() == old.read_bytes()
+            for values in (cli._CSV_VALUES, 4, 40):
+                with mock.patch.object(cli, "_CSV_VALUES", values):
+                    emit_trajectory(result, new)
+                assert new.read_bytes() == old.read_bytes()
+
+
+def test_emit_trajectory_peak_does_not_grow_with_the_rows(tmp_path):
+    """Rows are formatted a chunk at a time: writing 4 times the rows of a
+    1000-wide trajectory, several chunks either way, takes no more memory
+    under tracemalloc, where building the whole text took 4 times as much."""
+    rng = np.random.default_rng(0)
+    peaks = []
+    for rows in (100, 400):
+        trajectory = rng.standard_normal((rows, 4 + 1000))
+        result = RunResult(trajectory=trajectory, x_bst=(0.0,) * 1000, f_bst=0.0,
+                           evals=1 + 3 * rows, termination="max_iters", seed=0)
+        tracemalloc.start()
+        try:
+            emit_trajectory(result, tmp_path / "traj.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (64 << 10), peaks
 
 
 def test_summary_file_round_trips_the_campaign(tmp_path):
@@ -750,11 +772,24 @@ def test_oracle_errors_name_their_flag(tmp_path, argv, error):
     (["--objective", "sphere", "--dim", "3", "--d0", "1e154", "--delta0", "2e154"],
      "delta0: too large, got 2e+154: the objective is inf at d0 + delta0 beyond the far "
      "corner of the init box"),
-], ids=["d0", "delta0", "delta0-larger"])
+    (["--objective", "sphere", "--eta-d", "1", "--offset-d", "1e308", "--iters", "3"],
+     "offset-d: too large, got 1e+308: the objective is inf at d0 + (iters - 1) * offset-d "
+     "+ delta0 beyond the far corner of the init box"),
+    (["--objective", "michalewicz", "--offset-d", "1e300"],
+     "offset-d: too large, got 1e+300: the objective is nan at offset-d / (1 - eta-d) "
+     "+ delta0 beyond the far corner of the init box"),
+    (["--objective", "sphere", "--eta-d", "1", "--offset-d", "1e307", "--iters", "3",
+      "--d0", "1e308"],
+     "d0: too large, got 1e+308: the objective is inf at d0 + (iters - 1) * offset-d "
+     "+ delta0 beyond the far corner of the init box"),
+], ids=["d0", "delta0", "delta0-larger", "offset-d-rate-1", "offset-d-fixed-point",
+        "d0-larger-than-growth"])
 def test_huge_d0_or_delta0_is_one_error_line(tmp_path, argv, error):
-    """The first step would carry a beetle from the box to where the
-    objective is not finite: refused before the campaign, naming the larger
-    setting, with no RuntimeWarning lines and nothing written."""
+    """A step would carry a beetle from the box to where the objective is
+    not finite, with the largest antenna length the schedule reaches:
+    refused before the campaign, naming the largest of d0, the schedule's
+    growth (offset-d) and delta0, with no RuntimeWarning lines and nothing
+    written."""
     proc = _run_module(["run", *argv, "--out-dir", str(tmp_path / "out")], tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {error}"]
@@ -764,8 +799,11 @@ def test_huge_d0_or_delta0_is_one_error_line(tmp_path, argv, error):
 
 def test_large_d0_within_reach_still_runs(tmp_path):
     """sphere at 1e150 + 2.5 on both axes is about 2e300: finite, so d0 = 1e150
-    passes; a box whose own corner overflows is left to the search."""
+    passes, and so does an antenna that grows to 2 + 2e150 at rate 1; a box
+    whose own corner overflows is left to the search."""
     assert run_campaign(_cfg(tmp_path, objective="sphere", d0=1e150)).best >= 0.0
+    grows = _cfg(tmp_path, objective="sphere", eta_d=1, offset_d=1e150, iters=3)
+    assert run_campaign(grows).best >= 0.0
     cfg = _cfg(tmp_path, objective="sphere", dim=1, init_box="0:2.6e154", d0=1e308)
     with pytest.raises(ObjectiveError):
         run_campaign(cfg)
@@ -816,7 +854,9 @@ def test_invalid_config_creates_no_out_dir(tmp_path, capsys):
      "seed: must be a non-negative integer, got -1"),
     ({"objective": "sphere", "iters": "99999999999999999999", "stall": "1"}, (),
      f"iters: must be <= {sys.maxsize}, got 99999999999999999999"),
-], ids=["objective", "dim", "traj", "seed", "iters"])
+    ({"objective": "sphere", "trials": "99999999999999999999"}, (),
+     f"trials: must be <= {sys.maxsize}, got 99999999999999999999"),
+], ids=["objective", "dim", "traj", "seed", "iters", "trials"])
 def test_a_bad_value_is_the_same_line_from_a_flag_a_file_or_an_oracle(
         tmp_path, capsys, values, oracles, error):
     """One check per input: no usage block, exit 2 and nothing written."""

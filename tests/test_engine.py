@@ -89,10 +89,10 @@ def _objective(name: str, dim: int):
     seeds=st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=7),
     block=st.sampled_from(["one", "three", "all"]),
     chunk=st.sampled_from([1, 7, 100]),
-    kept=st.sets(st.integers(0, 6)),
+    record=st.integers(0, 8),
 )
 def test_engine_matches_reference_bit_for_bit(dim, name, clamp, target, stall, iters,
-                                              seeds, block, chunk, kept):
+                                              seeds, block, chunk, record):
     objective = _objective(name, dim)
     box = ((0.0, np.pi),) * dim if name != "sphere" else ((-1.0, 1.0),) * dim
     config = BasConfig(dimension=dim, init_box=box, clamp_box=box if clamp else None,
@@ -105,11 +105,11 @@ def test_engine_matches_reference_bit_for_bit(dim, name, clamp, target, stall, i
         budget = {"one": 1, "three": 3 * unrecorded, "all": core._BLOCK_BYTES}[block]
         mp.setattr(core, "_BLOCK_BYTES", budget)
         mp.setattr(core, "_DIRECTION_CHUNK", chunk)
-        got = list(run_trials(config, objective, seeds, record=kept))
+        got = list(run_trials(config, objective, seeds, record=record))
     assert len(got) == len(seeds)
     for i, (result, seed) in enumerate(zip(got, seeds)):
         want = reference_run(config, objective, seed)
-        if i not in kept:
+        if i >= record:
             assert result.trajectory.shape == (0, 4 + dim)
             want = dataclasses.replace(want, trajectory=np.empty((0, 4 + dim)))
         assert_same_result(result, want)
@@ -119,8 +119,8 @@ def test_trajectories_are_read_only_copies():
     """Each result owns its rows, so the block's history is freed with the block."""
     obj = lookup_objective("michalewicz", 3)
     cfg = BasConfig(dimension=3, init_box=obj.init_box, max_iters=12)
-    results = list(run_trials(cfg, obj, [4, 5, 6], record={0, 2}))
-    assert [r.trajectory.shape for r in results] == [(12, 7), (0, 7), (12, 7)]
+    results = list(run_trials(cfg, obj, [4, 5, 6], record=2))
+    assert [r.trajectory.shape for r in results] == [(12, 7), (12, 7), (0, 7)]
     for r in results:
         assert r.trajectory.base is None or r.trajectory.size == 0
         assert not r.trajectory.flags.writeable
@@ -137,16 +137,17 @@ def _trial_bytes(config: BasConfig, kept: bool) -> int:
 @given(
     dim=st.integers(1, 40),
     iters=st.integers(1, 300),
-    kept=st.lists(st.booleans(), max_size=60),
+    n=st.integers(0, 60),
+    record=st.integers(0, 70),
     budget=st.integers(1, 1 << 17),
 )
-def test_blocks_partition_trials_within_budget(dim, iters, kept, budget):
+def test_blocks_partition_trials_within_budget(dim, iters, n, record, budget):
     config = BasConfig(dimension=dim, x0=(0.0,) * dim, max_iters=iters)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_BYTES", budget)
-        blocks = list(core._blocks(config, kept))
-    assert [i for block in blocks for i in block] == list(range(len(kept)))
-    cost = [_trial_bytes(config, keep) for keep in kept]
+        blocks = list(core._blocks(config, n, record))
+    assert [i for block in blocks for i in block] == list(range(n))
+    cost = [_trial_bytes(config, i < record) for i in range(n)]
     for block, after in zip(blocks, blocks[1:] + [None]):
         size = sum(cost[i] for i in block)
         assert len(block) >= 1
@@ -157,9 +158,9 @@ def test_blocks_partition_trials_within_budget(dim, iters, kept, budget):
 
 def test_block_sizes_of_the_campaign_workloads():
     mich2d = BasConfig(dimension=2, x0=(0.0, 0.0), max_iters=100)
-    assert list(core._blocks(mich2d, [False] * 200)) == [range(200)]
+    assert list(core._blocks(mich2d, 200, 0)) == [range(200)]
     mich10d = BasConfig(dimension=10, x0=(0.0,) * 10, max_iters=100)
-    assert [len(b) for b in core._blocks(mich10d, [True] * 500)] == [54] * 9 + [14]
+    assert [len(b) for b in core._blocks(mich10d, 500, 500)] == [54] * 9 + [14]
 
 
 @pytest.mark.parametrize("iters", [101, 1000, 10 ** 6])
@@ -169,7 +170,7 @@ def test_blocks_budget_the_full_history_of_recorded_trials(iters):
     ``run --dim 2 --iters 1000000 --trials 200 --traj all`` runs its trials
     one at a time, not 163 to a block (7.8 GB of history)."""
     config = BasConfig(dimension=2, x0=(0.0, 0.0), max_iters=iters)
-    blocks = list(core._blocks(config, [True] * 200))
+    blocks = list(core._blocks(config, 200, 200))
     assert [i for block in blocks for i in block] == list(range(200))
     for block in blocks:
         assert len(block) * iters * (4 + 2) * 8 <= core._BLOCK_BYTES or len(block) == 1
@@ -185,7 +186,7 @@ def test_history_grows_with_the_search_not_with_max_iters():
     cfg = BasConfig(dimension=2, init_box=obj.init_box, max_iters=10 ** 8, stall_iters=5)
     tracemalloc.start()
     try:
-        (result,) = run_trials(cfg, obj, [3], record={0})
+        (result,) = run_trials(cfg, obj, [3], record=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -208,8 +209,8 @@ def test_results_carry_their_seed():
     assert [r.seed for r in run_trials(cfg, obj, seeds)] == seeds
     assert run(cfg, obj) != dataclasses.replace(run(cfg, obj), seed=18)
     # numpy integer seeds run as the Python ints they equal
-    want = list(run_trials(cfg, obj, seeds, record=range(3)))
-    got = list(run_trials(cfg, obj, np.array(seeds, dtype=np.uint64), record=range(3)))
+    want = list(run_trials(cfg, obj, seeds, record=3))
+    got = list(run_trials(cfg, obj, np.array(seeds, dtype=np.uint64), record=3))
     assert [type(r.seed) for r in got] == [int] * 3
     assert got == want
     assert [r.trajectory.tobytes() for r in got] == [r.trajectory.tobytes() for r in want]
@@ -328,7 +329,7 @@ def test_a_failing_new_position_matches_the_reference(k, outside, kind):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_BLOCK_BYTES", budget)
             with pytest.raises(ObjectiveError) as exc:
-                for result in run_trials(cfg, objective, seeds, record=range(len(seeds))):
+                for result in run_trials(cfg, objective, seeds, record=len(seeds)):
                     got.append(result)
         err = exc.value
         assert (err.trial, err.seed, err.iteration) == (lowest, seeds[lowest], want.iteration)
@@ -366,13 +367,13 @@ def _ledge(points):
 
 
 def _single_runs(config, objective, seeds, record):
-    """Each seed as a block of its own: its result or error, and the points
-    it evaluated."""
+    """Each seed as a block of its own, recorded if it is one of the first
+    ``record``: its result or error, and the points it evaluated."""
     outcomes, points = [], []
     for i, seed in enumerate(seeds):
         objective.points = 0
         try:
-            (result,) = run_trials(config, objective, [seed], record=(0,) if i in record else ())
+            (result,) = run_trials(config, objective, [seed], record=int(i < record))
             outcomes.append(result)
         except ObjectiveError as err:
             outcomes.append(err)
@@ -380,13 +381,12 @@ def _single_runs(config, objective, seeds, record):
     return outcomes, points
 
 
-def _assert_block_matches_single_runs(config, objective, seeds, record=()):
+def _assert_block_matches_single_runs(config, objective, seeds, record=0):
     """Run ``seeds`` as one block: every result before the lowest failing
     trial, that trial's error, and the points evaluated over the whole block
     are those of the single-trial runs. Returns the single-trial outcomes
     and points."""
-    kept = [i in record for i in range(len(seeds))]
-    assert len(list(core._blocks(config, kept))) == 1
+    assert len(list(core._blocks(config, len(seeds), record))) == 1
     outcomes, points = _single_runs(config, objective, seeds, record)
     objective.points = 0
     got, error = [], None
@@ -428,7 +428,7 @@ def test_every_row_stops_on_the_same_iteration(rule):
                            max_iters=30)
         stopped, iterations = TERM_TARGET, 1
     outcomes, _ = _assert_block_matches_single_runs(config, objective, list(range(9)),
-                                                    record={1, 4})
+                                                    record=5)
     assert {(o.termination, o.evals) for o in outcomes} == {(stopped, 1 + 3 * iterations)}
 
 
@@ -446,7 +446,7 @@ def test_a_row_fails_at_its_tips_on_the_iteration_a_neighbour_stalls():
                        max_iters=20)
     seeds = [2, 21, 3, 8, 6]
     outcomes, points = _assert_block_matches_single_runs(config, objective, seeds,
-                                                         record={0, 2})
+                                                         record=3)
     assert {(outcomes[i].termination, outcomes[i].evals) for i in (0, 2, 3)} == {
         (TERM_STALLED, 1 + 3 * 3)}
     failure = outcomes[1]
@@ -464,7 +464,7 @@ def test_a_row_fails_at_its_new_position_in_a_block_that_runs_on():
                        d_schedule=_CONSTANT, delta_schedule=_CONSTANT, max_iters=12)
     seeds = [2, 3, 0, 8, 11]
     outcomes, points = _assert_block_matches_single_runs(config, objective, seeds,
-                                                         record={1, 3})
+                                                         record=4)
     failure = outcomes[2]
     assert failure.iteration == 3
     assert points[2] == 3 * failure.iteration + 1  # both tips, then the new position
@@ -473,21 +473,27 @@ def test_a_row_fails_at_its_new_position_in_a_block_that_runs_on():
         assert (outcomes[i].termination, outcomes[i].evals) == (TERM_MAX_ITERS, 1 + 3 * 12)
 
 
-def test_recorded_and_unrecorded_rows_interleave_under_stall_and_target():
-    """Every other trial is recorded; rows stop by target and by stall on
-    many iterations, across chunks of 7 directions, and the rest run to
-    max_iters."""
+def test_the_recorded_prefix_and_the_rest_each_stop_first():
+    """The first 16 of 30 trials are recorded. Rows stop by target and by
+    stall on many iterations, across chunks of 7 directions, and the rest
+    run to max_iters. A recorded row stops first, while every unrecorded
+    row and the first unrecorded trial run on; then unrecorded rows stop
+    while recorded ones run on, and a recorded row outlives them all. So
+    the boundary between the live recorded and unrecorded rows moves in
+    compactions on either side of it."""
     objective = _Counted(lookup_objective("michalewicz", 2).batch)
     config = BasConfig(dimension=2, init_box=((0.0, np.pi),) * 2, d0=0.5, delta0=0.3,
                        target_value=-1.7, stall_iters=15, max_iters=40)
     seeds = list(range(100, 130))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_DIRECTION_CHUNK", 7)
-        outcomes, _ = _assert_block_matches_single_runs(config, objective, seeds,
-                                                        record=range(0, 30, 2))
+        outcomes, _ = _assert_block_matches_single_runs(config, objective, seeds, record=16)
     ends = {(o.termination, o.evals) for o in outcomes}
     assert {term for term, _ in ends} == {TERM_TARGET, TERM_STALLED, TERM_MAX_ITERS}
     assert len({evals for term, evals in ends if term != TERM_MAX_ITERS}) >= 6
+    recorded, rest = [o.evals for o in outcomes[:16]], [o.evals for o in outcomes[16:]]
+    assert min(recorded) < min(rest) < max(rest) < max(recorded)
+    assert outcomes[16].evals > min(recorded)
 
 
 def test_a_block_whose_last_live_row_stops_before_max_iters():
@@ -497,7 +503,7 @@ def test_a_block_whose_last_live_row_stops_before_max_iters():
     config = BasConfig(dimension=2, init_box=((0.0, np.pi),) * 2, stall_iters=2,
                        max_iters=500)
     outcomes, points = _assert_block_matches_single_runs(config, objective,
-                                                         list(range(12)), record={11})
+                                                         list(range(12)), record=12)
     assert {o.termination for o in outcomes} == {TERM_STALLED}
     assert max(o.evals for o in outcomes) < 1 + 3 * config.max_iters // 10
     assert len({o.evals for o in outcomes}) > 1
