@@ -15,8 +15,10 @@ import json
 import math
 import os
 import re
+import shutil
+import signal
 import sys
-import tempfile
+import threading
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
@@ -236,13 +238,17 @@ def _check_reach(objective, search: BasConfig) -> None:
     finite value to a non-finite one. One batch evaluates the objective at
     the init box's far corner, ``max(|lo|, |hi|)`` on every axis, and at
     ``d + delta0`` beyond it, ``d`` the largest antenna length the schedule
-    reaches: ``max(d0, offset / (1 - rate))``, or ``d0 + (iters - 1) * offset``
-    at rate 1. A corner that is not finite itself is left to the search.
-    The error names the largest of ``d0``, that growth and ``delta0``."""
+    reaches: ``max(d0, d_last)``, where the last iteration's antenna length
+    is ``d_last = rate^(iters - 1) * d0 + offset * (1 - rate^(iters - 1)) / (1 - rate)``,
+    or ``d0 + (iters - 1) * offset`` at rate 1. Its offset term is a finite
+    sum of powers times ``offset``, so it overflows to inf, never to nan.
+    A corner that is not finite itself is left to the search. The error
+    names the largest of ``d0``, that offset term and ``delta0``."""
     spec, d0, delta0 = search.d_schedule, search.d0, search.delta0
-    steady = spec.rate < 1.0
-    growth = spec.fixed_point() if steady else (search.max_iters - 1) * spec.offset
-    d = max(d0, growth) if steady else d0 + growth
+    steps = search.max_iters - 1
+    kept = spec.rate ** steps
+    growth = spec.offset * ((1.0 - kept) / (1.0 - spec.rate) if spec.rate < 1.0 else steps)
+    d = max(d0, kept * d0 + growth)
     corner = np.abs(np.asarray(search.init_box)).max(axis=1)
     with np.errstate(all="ignore"):
         at_corner, beyond = objective.batch(np.stack((corner, corner + d + delta0)))
@@ -250,8 +256,8 @@ def _check_reach(objective, search: BasConfig) -> None:
         terms = {"d0": d0, "offset-d": growth, "delta0": delta0}
         name = max(terms, key=terms.get)  # the first of equal terms
         value = spec.offset if name == "offset-d" else terms[name]
-        reach = ("d0" if d == d0 else "offset-d / (1 - eta-d)" if steady
-                 else "d0 + (iters - 1) * offset-d")
+        reach = ("d0" if d == d0 else "d0 + (iters - 1) * offset-d" if spec.rate == 1.0
+                 else "eta-d^(iters - 1) * d0 + offset-d * (1 - eta-d^(iters - 1)) / (1 - eta-d)")
         raise ConfigError(f"{name}: too large, got {value!r}: the objective is {float(beyond)!r} "
                           f"at {reach} + delta0 beyond the far corner of the init box")
 
@@ -345,24 +351,57 @@ def _trials_json(trials: Sequence[RunResult]) -> str:
 
 
 @contextmanager
+def _interruptible():
+    """While the block runs on the main thread (elsewhere no handler can be
+    set), SIGTERM or SIGHUP prints one error line and raises ``SystemExit``
+    with 128 + the signal's number, which removes the staging directory on
+    its way out. The previous handlers are restored afterwards."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    # The exception of a signal that arrives while an extension module loads
+    # can be lost; the search imports this one, so it loads first.
+    import numpy.random  # noqa: F401
+
+    def interrupt(signum, frame):
+        print(f"error: interrupted by {signal.Signals(signum).name}", file=sys.stderr)
+        raise SystemExit(128 + signum)
+
+    previous = {signum: signal.signal(signum, interrupt)
+                for signum in (signal.SIGTERM, signal.SIGHUP)}
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
+@contextmanager
 def _staged(out_dir: str):
     """A fresh directory inside ``out_dir`` for a campaign's artifacts. They
     move into ``out_dir`` only when the block ends without an error, so a
     failed campaign leaves ``out_dir`` as it found it, or absent with any
     parent it created. A move removes each ``traj_<digits>.csv`` it did not
-    bring. An ``OSError`` becomes a ``ConfigError`` naming out-dir."""
+    bring. An ``OSError`` becomes a ``ConfigError`` naming out-dir. The
+    staging directory is named before it is made, so that an exception
+    raised anywhere, such as by a signal, still finds it to remove."""
     target = Path(out_dir)
     missing = [path for path in (target, *target.parents) if not path.exists()]
+    staging = target / f".basopt-{os.urandom(8).hex()}"
     try:
         target.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(prefix=".basopt-", dir=target) as staging:
-            yield Path(staging)
+        try:
+            staging.mkdir(mode=0o700)
+            yield staging
             staged = set(os.listdir(staging))
             for name in staged:
-                os.replace(Path(staging) / name, target / name)
+                os.replace(staging / name, target / name)
             for name in os.listdir(target):
                 if re.fullmatch(r"traj_[0-9]+\.csv", name) and name not in staged:
                     os.remove(target / name)
+        finally:
+            if staging.exists():
+                shutil.rmtree(staging)
     except OSError as err:
         raise ConfigError(f"out-dir: {out_dir}: {err.strerror or err}") from None
     finally:
@@ -450,7 +489,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = _merge_run_args(args)
-            summary = run_campaign(cfg)
+            with _interruptible():
+                summary = run_campaign(cfg)
             print(f"campaign: objective={cfg.objective} dim={cfg.dim} "
                   f"trials={cfg.trials} iters={cfg.iters} seed={cfg.seed}")
             print(f"  f_bst: best={summary.best!r} median={summary.median!r} "

@@ -13,9 +13,11 @@ exploits for bit-exact reproducibility checks.
 
 ``bas_iterate`` is the single-step reference. ``run_trials`` is the engine
 that executes searches: it moves a block of independent beetles in lockstep
-as one ``(n, k)`` array, one ``Objective.batch`` call for all antenna tips
-and one for all new positions per iteration, and reproduces the reference
-bit for bit (each trial keeps its own generator and the same arithmetic).
+as one ``(n, k)`` array and reproduces the reference bit for bit (each
+trial keeps its own generator and the same arithmetic). One
+``Objective.batch`` call takes the start points with the first antenna
+tips, then one call per iteration takes the new positions with the next
+tips, or, where a beetle may stop early, one the tips and one the positions.
 The block's state is held compacted to its running beetles, so a step works
 on dense arrays; the arrays shrink, and a stopped beetle's result is set
 aside, only on an iteration where some beetle stops or fails.
@@ -411,7 +413,9 @@ def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     yielded when the block finishes. If an objective value is not finite,
     the results before the lowest failing trial are yielded and then its
     ``ObjectiveError`` is raised, with ``trial`` set to its position and
-    ``seed`` to its seed.
+    ``seed`` to its seed. The objective sees the points that ``run`` would
+    evaluate for each trial, except that a trial whose start or new
+    position fails may have had its next two antenna tips evaluated too.
     """
     seeds = [_as_seed(seed) for seed in seeds]
     for block in _blocks(config, len(seeds), record):
@@ -426,7 +430,8 @@ def _blocks(config: BasConfig, n: int, record: int) -> Iterator[range]:
     A trial costs its chunk of directions and its two antenna tips, plus its
     history if it is one of the first ``record`` (``max_iters`` trajectory
     rows of ``4 + k`` floats): ``_run_block`` grows the history only as the
-    search runs, so this bounds the most it can take.
+    search runs, so this bounds the most it can take. The position that
+    shares the tips' buffer is left out, like the other per-row vectors.
     """
     k = config.dimension
     directions = 8 * k * (min(config.max_iters, _DIRECTION_CHUNK) + 2)
@@ -467,20 +472,30 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     some row stops or fails is the state compacted, and a stopped row's
     incumbent, iteration count and termination written to the block's
     outputs. Block rows ``0 .. n_keep - 1`` store history; compaction keeps
-    ``rows`` sorted, so the live ones are ``rows[:kept]``. Floating-point
-    warnings are silenced while the block runs, because every non-finite
-    objective value already becomes an ``ObjectiveError``.
+    ``rows`` sorted, so the live ones are ``rows[:kept]``.
+
+    A new position depends only on the antenna readings, so the tips of the
+    next iteration are known before the objective at the position is: the
+    start points go into one batch with the first iteration's tips, and,
+    when no row can stop before ``max_iters`` (no target and no stall
+    rule), so does every new position but the last. A row that fails at
+    its start or new position has had its next tips evaluated too; those
+    values are dropped with it. Floating-point warnings are silenced while
+    the block runs, because every non-finite objective value already
+    becomes an ``ObjectiveError``.
     """
     n, k = len(seeds), config.dimension
     rngs = _generators(seeds)
     target, patience = config.target_value, config.stall_iters
+    ahead = target is None and patience is None  # every live row runs to max_iters
     clamp = None if config.clamp_box is None else np.asarray(config.clamp_box, dtype=float).T
 
     chunk = min(config.max_iters, _DIRECTION_CHUNK)
-    # A chunk's directions are stored for the rows live at its start, in
+    # A chunk's directions are stored for the rows live when it is drawn, in
     # order: those of live row i are directions[place[i]].
     directions = np.empty((n, chunk, k))
-    tips = np.empty((2 * n, k))  # x + d*b for the live rows, then x - d*b
+    # The live positions, then their tips x + d*b, then x - d*b.
+    points = np.empty((3 * n, k))
     # hist holds the first chunk's rows and doubles when the search outruns it.
     hist = np.empty((n_keep, chunk, 4 + k))
     # The block's outputs, by block row, written as rows stop.
@@ -490,8 +505,9 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     failures = {}
 
     rows = np.arange(n)
-    x = _start_points(config, rngs)
-    x_bst = x.copy()
+    x = points[:n]
+    x[...] = _start_points(config, rngs)
+    x_bst, f_bst = x.copy(), np.empty(n)  # f_bst is set by the start batch
     stall = np.zeros(n, dtype=int)
     place = rows
     kept = n_keep  # live recorded rows
@@ -504,58 +520,73 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
         kept = int(np.searchsorted(rows, n_keep))
         return [a[ok] for a in extra]
 
+    def probe(t, d):
+        """Write the tips of 0-based iteration ``t`` around ``x`` after the
+        positions in ``points`` and return their directions, drawing the
+        next chunk for the live rows when ``t`` starts one."""
+        nonlocal place
+        m, j = rows.size, t % chunk
+        if j == 0:
+            count = min(chunk, config.max_iters - t)
+            sample_directions([rngs[row] for row in rows.tolist()], directions[:m, :count])
+            place = np.arange(m)
+        b = directions[place, j]
+        offset = d * b
+        np.add(x, offset, out=points[m:2 * m])
+        np.subtract(x, offset, out=points[2 * m:3 * m])
+        return b
+
+    def evaluate(lo, hi, t, *extra):
+        """One batch of parts ``lo .. hi - 1`` of ``points``: the positions
+        (0), the right tips (1) and the left tips (2). A row with a non-finite
+        value fails at iteration ``t`` at its position and ``t + 1`` at a tip,
+        checked in that order, and is dropped. Returns the values of each
+        part, then ``extra``, for the rows that stay live."""
+        m = rows.size
+        f = _values(objective, points[lo * m:hi * m])
+        out = [f[i * m:(i + 1) * m] for i in range(hi - lo)] + list(extra)
+        if np.isfinite(f).all():
+            return out
+        ok = np.ones(m, dtype=bool)
+        for i in range(lo, hi):
+            ok &= _finite(out[i - lo], points[i * m:(i + 1) * m], rows, t + (i > 0), failures)
+        return retain(ok, *out)
+
     d, delta = config.d0, config.delta0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f_bst = _values(objective, x)
-        if not np.isfinite(f_bst).all():
-            retain(_finite(f_bst, x, rows, 0, failures))
+        f_bst, f_r, f_l, b = evaluate(0, 3, 0, probe(0, d))
         for t in range(config.max_iters):
+            if rows.size and f_r is None:  # this iteration's tips are not read yet
+                f_r, f_l, b = evaluate(1, 3, t, probe(t, d))
             m = rows.size
             if m == 0:
                 break
-            j = t % chunk
-            if j == 0:
-                count = min(chunk, config.max_iters - t)
-                sample_directions([rngs[row] for row in rows.tolist()], directions[:m, :count])
-                place = np.arange(m)
-                if t == hist.shape[1]:
-                    grown = np.empty((n_keep, min(2 * t, config.max_iters), 4 + k))
-                    grown[:, :t] = hist
-                    hist = grown
-            b = directions[place, j]
-            offset = d * b
-            x_r, x_l = tips[:m], tips[m:2 * m]
-            np.add(x, offset, out=x_r)
-            np.subtract(x, offset, out=x_l)
-            f_tips = _values(objective, tips[:2 * m])
-            f_r, f_l = f_tips[:m], f_tips[m:]
-            if not np.isfinite(f_tips).all():
-                ok = (_finite(f_r, x_r, rows, t + 1, failures)
-                      & _finite(f_l, x_l, rows, t + 1, failures))
-                b, f_r, f_l = retain(ok, b, f_r, f_l)
-                if rows.size == 0:
-                    break
-            x_new = x - delta * b * np.sign(f_r - f_l)[:, None]
+            step = delta * b
+            step *= np.sign(f_r - f_l)[:, None]
+            x = np.subtract(x, step, out=points[:m])
             if clamp is not None:
-                np.clip(x_new, clamp[0], clamp[1], out=x_new)
-            f_new = _values(objective, x_new)
-            if not np.isfinite(f_new).all():
-                x_new, f_new = retain(_finite(f_new, x_new, rows, t + 1, failures),
-                                      x_new, f_new)
+                np.clip(x, clamp[0], clamp[1], out=x)
+            d_next = advance_schedule(d, config.d_schedule)
+            if ahead and t + 1 < config.max_iters:
+                f_new, f_r, f_l, b = evaluate(0, 3, t + 1, probe(t + 1, d_next))
+            else:
+                (f_new,), f_r = evaluate(0, 1, t + 1), None
 
-            x = x_new
             improved = f_new < f_bst
             np.copyto(f_bst, f_new, where=improved)
             np.copyto(x_bst, x, where=improved[:, None])
             if n_keep:
+                if t == hist.shape[1]:
+                    grown = np.empty((n_keep, min(2 * t, config.max_iters), 4 + k))
+                    grown[:, :t] = hist
+                    hist = grown
                 hist[rows[:kept], t, 0] = f_new[:kept]
                 hist[rows[:kept], t, 1] = f_bst[:kept]
                 hist[:, t, 2:4] = d, delta
                 hist[rows[:kept], t, 4:] = x[:kept]
-            d = advance_schedule(d, config.d_schedule)
-            delta = advance_schedule(delta, config.delta_schedule)
+            d, delta = d_next, advance_schedule(delta, config.delta_schedule)
 
-            if target is None and patience is None:
+            if ahead:
                 continue
             reached = np.zeros(rows.size, dtype=bool) if target is None else f_bst <= target
             stop = reached

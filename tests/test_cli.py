@@ -5,10 +5,12 @@ import errno
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -776,14 +778,21 @@ def test_oracle_errors_name_their_flag(tmp_path, argv, error):
      "offset-d: too large, got 1e+308: the objective is inf at d0 + (iters - 1) * offset-d "
      "+ delta0 beyond the far corner of the init box"),
     (["--objective", "michalewicz", "--offset-d", "1e300"],
-     "offset-d: too large, got 1e+300: the objective is nan at offset-d / (1 - eta-d) "
-     "+ delta0 beyond the far corner of the init box"),
+     "offset-d: too large, got 1e+300: the objective is nan at eta-d^(iters - 1) * d0 "
+     "+ offset-d * (1 - eta-d^(iters - 1)) / (1 - eta-d) + delta0 beyond the far corner "
+     "of the init box"),
+    # offset-d / (1 - eta-d) overflows to inf here, and inf times a zero
+    # power would be nan: the last d is about 99 * offset-d
+    (["--objective", "michalewicz", "--eta-d", "0.9999999999999999", "--offset-d", "1e300"],
+     "offset-d: too large, got 1e+300: the objective is nan at eta-d^(iters - 1) * d0 "
+     "+ offset-d * (1 - eta-d^(iters - 1)) / (1 - eta-d) + delta0 beyond the far corner "
+     "of the init box"),
     (["--objective", "sphere", "--eta-d", "1", "--offset-d", "1e307", "--iters", "3",
       "--d0", "1e308"],
      "d0: too large, got 1e+308: the objective is inf at d0 + (iters - 1) * offset-d "
      "+ delta0 beyond the far corner of the init box"),
 ], ids=["d0", "delta0", "delta0-larger", "offset-d-rate-1", "offset-d-fixed-point",
-        "d0-larger-than-growth"])
+        "offset-d-fixed-point-overflows", "d0-larger-than-growth"])
 def test_huge_d0_or_delta0_is_one_error_line(tmp_path, argv, error):
     """A step would carry a beetle from the box to where the objective is
     not finite, with the largest antenna length the schedule reaches:
@@ -799,11 +808,14 @@ def test_huge_d0_or_delta0_is_one_error_line(tmp_path, argv, error):
 
 def test_large_d0_within_reach_still_runs(tmp_path):
     """sphere at 1e150 + 2.5 on both axes is about 2e300: finite, so d0 = 1e150
-    passes, and so does an antenna that grows to 2 + 2e150 at rate 1; a box
-    whose own corner overflows is left to the search."""
+    passes, and so does an antenna that grows to 2 + 2e150 at rate 1. An
+    offset that would reach 2e301 never applies in a single iteration, which
+    uses d0 = 2. A box whose own corner overflows is left to the search."""
     assert run_campaign(_cfg(tmp_path, objective="sphere", d0=1e150)).best >= 0.0
     grows = _cfg(tmp_path, objective="sphere", eta_d=1, offset_d=1e150, iters=3)
     assert run_campaign(grows).best >= 0.0
+    once = _cfg(tmp_path, objective="michalewicz", offset_d=1e300, iters=1)
+    assert run_campaign(once).trials[0].evals == 4
     cfg = _cfg(tmp_path, objective="sphere", dim=1, init_box="0:2.6e154", d0=1e308)
     with pytest.raises(ObjectiveError):
         run_campaign(cfg)
@@ -917,6 +929,43 @@ def test_failed_campaign_creates_no_out_dir(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: trial 3 (seed 12505594170494392219): ")
     assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("signame", ["SIGTERM", "SIGHUP"])
+def test_a_signal_ends_a_campaign_without_leaving_its_staging(tmp_path, signame):
+    """Killed while it runs, a campaign removes its staging directory and
+    the out-dir it created, and exits with 128 + the signal's number."""
+    out_dir = tmp_path / "killed"
+    env = dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    env.pop("PYTHONWARNINGS", None)
+    # minutes of search, in blocks of one trial and with no history
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "basopt.cli", "run", "--objective", "sphere", "--dim", "1000",
+         "--iters", "100000", "--trials", "50", "--traj", "none", "--out-dir", str(out_dir)],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 10
+        while not list(out_dir.glob(".basopt-*")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        proc.send_signal(getattr(signal, signame))
+        stdout, stderr = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == 128 + getattr(signal, signame)
+    assert stderr.splitlines() == [f"error: interrupted by {signame}"]
+    assert stdout == ""
+    assert not out_dir.exists()
+
+
+def test_a_campaign_restores_the_signal_handlers(tmp_path, capsys):
+    before = [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGHUP)]
+    assert main(["run", "--objective", "sphere", "--traj", "none",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGHUP)] == before
+    assert capsys.readouterr().err == ""
 
 
 def test_rerun_removes_the_older_campaigns_trajectories(tmp_path):

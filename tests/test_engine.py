@@ -296,9 +296,10 @@ class _Cube:
 def test_a_failing_new_position_matches_the_reference(k, outside, kind):
     """Beetles climb out of the cube with a step much longer than their
     antennae, so some fail at a new position with both tips inside. The
-    engine drops the failed rows after the position batch: the error, every
-    earlier trial and the points evaluated are the reference's, one trial per
-    block or all in one."""
+    engine drops the failed rows after the position batch: the error and
+    every earlier trial are the reference's, one trial per block or all in
+    one. So are the points evaluated, but for the tips that the engine reads
+    in the same batch as a failing point."""
     cube = _Cube(outside)
     objective = cube if kind == "batch" else cube.__call__
     constant = ScheduleSpec(1.0)
@@ -312,9 +313,13 @@ def test_a_failing_new_position_matches_the_reference(k, outside, kind):
             outcomes.append(reference_run(cfg, objective, seed))
         except ObjectiveError as err:
             outcomes.append(err)
-            # the engine probes both tips before it checks them
-            if cube.points - 3 * err.iteration == -1:
+            # the reference stops after 3i - 1 points at a right tip, 3i at a
+            # left one and 3i + 1 at a new position; the engine probes both
+            # tips before it checks them, and a new position with the next tips
+            if cube.points < 3 * err.iteration:
                 cube.points += 1
+            elif cube.points > 3 * err.iteration and err.iteration < cfg.max_iters:
+                cube.points += 2
         points.append(cube.points)
     failed = [o for o in outcomes if isinstance(o, ObjectiveError)]
     # a tip lies within d = 0.01 of a position inside the cube; a new position
@@ -345,16 +350,18 @@ def test_a_failing_new_position_matches_the_reference(k, outside, kind):
 # compaction: rows that stop or fail leave the block's live arrays
 
 class _Counted:
-    """A batch objective that counts the points it is given."""
+    """A batch objective that counts its calls and the points it is given."""
     def __init__(self, batch):
         self._batch = batch
         self.points = 0
+        self.calls = 0
 
     def __call__(self, x):
         return float(self.batch(np.asarray(x)[None])[0])
 
     def batch(self, points):
         self.points += len(points)
+        self.calls += 1
         return self._batch(points)
 
 
@@ -467,10 +474,107 @@ def test_a_row_fails_at_its_new_position_in_a_block_that_runs_on():
                                                          record=4)
     failure = outcomes[2]
     assert failure.iteration == 3
-    assert points[2] == 3 * failure.iteration + 1  # both tips, then the new position
+    # both tips, then the new position with the next tips
+    assert points[2] == 3 * failure.iteration + 3
     assert failure.x[0] > 1.0 + config.d0
     for i in (0, 1, 3, 4):
         assert (outcomes[i].termination, outcomes[i].evals) == (TERM_MAX_ITERS, 1 + 3 * 12)
+
+
+# ---------------------------------------------------------------------------
+# look-ahead: a batch of positions carries the next iteration's tips
+
+@pytest.mark.parametrize("iters", [1, 2, 99, 100, 101, 250])
+@pytest.mark.parametrize("clamp", [False, True])
+def test_without_a_stop_rule_a_block_makes_one_batch_per_iteration(iters, clamp):
+    """The start points go with the first tips, and each new position but
+    the last with the next tips: ``iters + 1`` calls, and no point more than
+    the reference evaluates, across direction chunks and history doublings."""
+    objective = _Counted(lookup_objective("michalewicz", 2).batch)
+    box = ((0.0, np.pi),) * 2
+    config = BasConfig(dimension=2, init_box=box, clamp_box=box if clamp else None,
+                       max_iters=iters)
+    seeds = list(range(40, 57))
+    results = list(run_trials(config, objective, seeds, record=5))
+    assert objective.calls == iters + 1
+    assert objective.points == len(seeds) * (1 + 3 * iters) == sum(r.evals for r in results)
+    for result, seed in zip(results[:5], seeds):
+        assert_same_result(result, reference_run(config, objective, seed))
+
+
+@pytest.mark.parametrize("rule", ["stall", "target"])
+def test_with_a_stop_rule_a_block_reads_each_iterations_tips_apart(rule):
+    """A row that may stop needs no tips beyond its last iteration, so only
+    the start batch reads tips ahead: a block that runs T iterations makes
+    a call for the start and its tips, one for the first positions, then
+    two an iteration, 2·T in all, and evaluates the reference's points."""
+    objective = _Counted(lookup_objective("michalewicz", 2).batch)
+    rules = {"stall": {"stall_iters": 6}, "target": {"target_value": -1.75}}[rule]
+    config = BasConfig(dimension=2, init_box=((0.0, np.pi),) * 2, max_iters=150, **rules)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_DIRECTION_CHUNK", 7)
+        results = list(run_trials(config, objective, list(range(60)), record=60))
+    ran = [(r.evals - 1) // 3 for r in results]
+    assert len(set(ran)) > 5
+    assert objective.calls == 2 * max(ran)
+    assert objective.points == sum(r.evals for r in results)
+
+
+def test_a_row_fails_at_a_look_ahead_tip_in_a_block_that_runs_on():
+    """With d >= delta and no stop rule, a beetle on the ledge's slope fails
+    at a tip of iteration 6 that was read with its new position of iteration
+    5: seed 7 at its left tip, seed 0 at its right. The beetles on the flat
+    run on to max_iters; the error and every earlier result are the
+    reference's."""
+    objective = _Counted(_ledge)
+    config = BasConfig(dimension=1, init_box=((-1.0, 1.0),), d0=0.3, delta0=0.1,
+                       d_schedule=_CONSTANT, delta_schedule=_CONSTANT, max_iters=20)
+    seeds = [2, 3, 7, 8, 0, 11]
+    outcomes, points = _assert_block_matches_single_runs(config, objective, seeds,
+                                                         record=len(seeds))
+    assert [o.iteration for o in outcomes if isinstance(o, ObjectiveError)] == [6, 6]
+    assert points[2] == points[4] == 3 * 6  # both tips read with the position before
+    for i, outcome in enumerate(outcomes):
+        try:
+            want = reference_run(config, objective, seeds[i])
+        except ObjectiveError as err:
+            want = err
+        if isinstance(want, ObjectiveError):
+            assert (outcome.iteration, repr(outcome.value)) == (want.iteration, repr(want.value))
+            assert outcome.x.tobytes() == want.x.tobytes()
+        else:
+            assert_same_result(outcome, want)
+            assert (want.termination, want.evals) == (TERM_MAX_ITERS, 1 + 3 * 20)
+
+
+class _Walls:
+    """1-D inverted bowl, +inf right of 1 and -inf left of -1."""
+    def __call__(self, x):
+        return float(self.batch(np.asarray(x)[None])[0])
+
+    def batch(self, points):
+        x = points[:, 0]
+        return np.where(x > 1.0, np.inf, np.where(x < -1.0, -np.inf, -x * x))
+
+
+@pytest.mark.parametrize("batch", ["start", "look-ahead"])
+def test_when_both_tips_fail_the_right_one_is_reported(batch):
+    """Both antennae of every beetle reach past the walls on iteration 1
+    (read with the start points) or 2 (read with the first new positions):
+    the error is the reference's, x + d*b, whichever wall that is."""
+    d0, d_schedule = {"start": (5.0, _CONSTANT),
+                      "look-ahead": (0.01, ScheduleSpec(1.0, 5.0))}[batch]
+    config = BasConfig(dimension=1, init_box=((-0.5, 0.5),), d0=d0, delta0=0.01,
+                       d_schedule=d_schedule, max_iters=10)
+    seeds = [0, 2, 1]
+    with pytest.raises(ObjectiveError) as exc:
+        list(run_trials(config, _Walls(), seeds))
+    with pytest.raises(ObjectiveError) as ref:
+        reference_run(config, _Walls(), seeds[0])
+    want = ref.value
+    assert exc.value.iteration == want.iteration == {"start": 1, "look-ahead": 2}[batch]
+    assert (exc.value.trial, repr(exc.value.value)) == (0, repr(want.value))
+    assert exc.value.x.tobytes() == want.x.tobytes()
 
 
 def test_the_recorded_prefix_and_the_rest_each_stop_first():

@@ -6,8 +6,9 @@ They were recorded once the direction norms no longer called BLAS and the
 Michalewicz power became a chain of multiplications, so any drift in
 directions, arithmetic order, termination or serialization fails here.
 Configs with many trials pin the trajectories through one digest over all
-CSVs (name and bytes, in name order). The many-trial configs run again with
-a lockstep block budget small enough to split them into several blocks, and
+CSVs (name and bytes, in name order). The many-trial configs and the
+250-iteration one run again with a lockstep block budget small enough to
+split them into several blocks, and
 all configs run again in child processes under the OpenBLAS kernels and
 numpy SIMD loops of other x86-64 CPUs.
 """
@@ -85,6 +86,16 @@ GOLDEN = {
             "traj_000.csv": "5baa9be8d7dc65d150298b182b29715dd8da753acdacee743fe0550005c86ae3",
         },
     ),
+    # 250 iterations: each trial draws its directions in three chunks and
+    # its recorded history doubles twice; also split into several blocks.
+    "michalewicz_2d_250_iters": (
+        ["--objective", "michalewicz", "--iters", "250", "--trials", "100", "--seed", "7",
+         "--traj", "all"],
+        {
+            "summary.json": "9ef19977bd0d4af1cb0fdb8b63ad704876bc301cb959a102bb6e3aa688b7b81f",
+            "traj_*.csv": "2b6367087a4d8054bfc9f1858599b0f0b452caacb86d25a0825aa79e6de35ace",
+        },
+    ),
 }
 
 
@@ -112,7 +123,8 @@ def test_golden_artifacts(tmp_path, name):
     assert artifact_hashes(tmp_path, expected) == expected
 
 
-@pytest.mark.parametrize("name", ["michalewicz_10d_many_trials", "michalewicz_2d_many_trials"])
+@pytest.mark.parametrize("name", ["michalewicz_10d_many_trials", "michalewicz_2d_many_trials",
+                                  "michalewicz_2d_250_iters"])
 def test_golden_artifacts_across_blocks(tmp_path, monkeypatch, name):
     flags, expected = GOLDEN[name]
     blocks = []
@@ -122,11 +134,13 @@ def test_golden_artifacts_across_blocks(tmp_path, monkeypatch, name):
         blocks.append(len(args[2]))
         return run_block(*args)
 
-    # 128 KiB holds 81 unrecorded 2-D trials or 7 recorded 10-D ones
+    # 128 KiB holds 81 unrecorded 2-D trials, 7 recorded 10-D ones or 9
+    # recorded 2-D ones of 250 iterations
     monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 17)
     monkeypatch.setattr(core, "_run_block", counted)
-    run_campaign(parse_config(flags + ["--out-dir", str(tmp_path)]))
-    assert len(blocks) >= 3 and sum(blocks) == 300
+    cfg = parse_config(flags + ["--out-dir", str(tmp_path)])
+    run_campaign(cfg)
+    assert len(blocks) >= 3 and sum(blocks) == cfg.trials
     assert artifact_hashes(tmp_path, expected) == expected
 
 
