@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (BasConfig, ObjectiveError, RunResult, ScheduleSpec, _as_seed,
+from .core import (BasConfig, ObjectiveError, RunResult, ScheduleSpec, _as_int, _as_seed,
                    derive_trial_seeds, run_trials)
 # Kept importable here; perfbench/tracer.py wraps them.
 from .core import derive_trial_seed, run  # noqa: F401
@@ -66,7 +66,7 @@ def parse_box_spec(spec: str) -> tuple:
 
 
 def format_box_spec(box) -> str:
-    return ",".join(f"{float(lo)!r}:{float(hi)!r}" for lo, hi in box)
+    return ",".join(map("{!r}:{!r}".format, *np.asarray(box, dtype=float).T.tolist()))
 
 
 def _setting(default, parse, help: str, **flag):
@@ -192,11 +192,9 @@ def _objective_and_box(name: str, dim: int, box: Optional[tuple], setting: str):
     default the objective's own box. Errors name ``setting`` for the box."""
     with _naming(objective="objective", dimension="dim"):
         objective = lookup_objective(name, dim)
-    if box is None:
-        return objective, objective.init_box
-    if len(box) not in (1, dim):
+    if box is not None and len(box) not in (1, dim):
         raise ConfigError(f"{setting}: needs 1 or {dim} lo:hi pairs, got {len(box)}")
-    return objective, box * dim if len(box) == 1 else box
+    return objective, objective.init_box if box is None else np.broadcast_to(box, (dim, 2))
 
 
 # The BasConfig parameters that are campaign settings as they stand.
@@ -211,10 +209,8 @@ def _validate(cfg: ExperimentConfig) -> BasConfig:
         raise ConfigError("objective: required (one of "
                           f"{', '.join(objective_names())})")
     objective, init_box = _objective_and_box(cfg.objective, cfg.dim, cfg.init_box, "init-box")
-    if cfg.trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {cfg.trials}")
-    if cfg.trials > sys.maxsize:
-        raise ConfigError(f"trials: must be <= {sys.maxsize}, got {cfg.trials}")
+    with _naming(trials="trials"):
+        _as_int(cfg.trials, "trials", 1, sys.maxsize)
     if cfg.traj not in _TRAJ_MODES:
         raise ConfigError(f"traj: must be one of {_TRAJ_MODES}, got {cfg.traj!r}")
     with _naming(rate="eta_d", offset="offset_d"):
@@ -249,7 +245,7 @@ def _check_reach(objective, search: BasConfig) -> None:
     kept = spec.rate ** steps
     growth = spec.offset * ((1.0 - kept) / (1.0 - spec.rate) if spec.rate < 1.0 else steps)
     d = max(d0, kept * d0 + growth)
-    corner = np.abs(np.asarray(search.init_box)).max(axis=1)
+    corner = np.abs(search.init_box).max(axis=1)
     with np.errstate(all="ignore"):
         at_corner, beyond = objective.batch(np.stack((corner, corner + d + delta0)))
     if np.isfinite(at_corner) and not np.isfinite(beyond):

@@ -125,18 +125,31 @@ def advance_schedule(value: float, spec: ScheduleSpec) -> float:
     return spec.rate * value + spec.offset
 
 
-def _as_point(value, dimension: int, name: str) -> tuple:
-    arr = np.asarray(value, dtype=float)
+def _as_int(value, name: str, low: int, high: Optional[int] = None) -> int:
+    """``value`` as an ``int``; ValueError unless an ``int`` or ``np.integer`` in [low, high]."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return int(value)
+
+
+def _as_point(value, dimension: int, name: str) -> Array:
+    """A validated point as a read-only ``(dimension,)`` float64 copy."""
+    arr = np.array(value, dtype=float)
     if arr.shape != (dimension,):
         raise ValueError(f"{name} must have shape ({dimension},), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {arr.tolist()}")
-    return tuple(float(v) for v in arr)
+    arr.flags.writeable = False
+    return arr
 
 
-def _as_box(value, dimension: Optional[int], name: str) -> tuple:
-    """Normalize per-axis (lo, hi) bounds to a tuple of pairs."""
-    arr = np.asarray(value, dtype=float)
+def _as_box(value, dimension: Optional[int], name: str) -> Array:
+    """Validated (lo, hi) rows as a read-only, C-contiguous (k, 2) float64 copy."""
+    arr = np.array(value, dtype=float, order="C")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"{name} must be a sequence of (lo, hi) pairs, got shape {arr.shape}")
     if dimension is not None and arr.shape[0] != dimension:
@@ -149,10 +162,11 @@ def _as_box(value, dimension: Optional[int], name: str) -> tuple:
         width = arr[:, 1] - arr[:, 0]
     if not np.all(np.isfinite(width)):
         raise ValueError(f"{name} width hi - lo overflows on some axis")
-    return tuple((float(lo), float(hi)) for lo, hi in arr)
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasConfig:
     """Full parameterization of one search run.
 
@@ -161,6 +175,8 @@ class BasConfig:
     iterate after each move; by default movement is unconstrained.
     ``target_value`` and ``stall_iters`` are optional early-stop criteria;
     when unset, ``max_iters`` alone ends the run.
+    Boxes, any ``(lo, hi)`` pairs, and ``x0`` are held as read-only float64
+    copies, the counts as ``int``. Configs compare and hash by identity.
     """
 
     dimension: int
@@ -170,34 +186,26 @@ class BasConfig:
     delta_schedule: ScheduleSpec = DEFAULT_DELTA_SCHEDULE
     max_iters: int = 100
     seed: int = 0
-    x0: Optional[Sequence[float]] = None
-    init_box: Optional[Sequence[Sequence[float]]] = None
-    clamp_box: Optional[Sequence[Sequence[float]]] = None
+    x0: Optional[Array] = None
+    init_box: Optional[Array] = None
+    clamp_box: Optional[Array] = None
     target_value: Optional[float] = None
     stall_iters: Optional[int] = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not 0.0 < self.d0 < np.inf:
-            raise ValueError(f"d0 must be finite and > 0, got {self.d0}")
-        if not 0.0 < self.delta0 < np.inf:
-            raise ValueError(f"delta0 must be finite and > 0, got {self.delta0}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.max_iters > sys.maxsize:
-            raise ValueError(f"max_iters must be <= {sys.maxsize}, got {self.max_iters}")
+        object.__setattr__(self, "dimension", _as_int(self.dimension, "dimension", 1))
+        for name in ("d0", "delta0"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters", 1, sys.maxsize))
         object.__setattr__(self, "seed", _as_seed(self.seed))
         if (self.x0 is None) == (self.init_box is None):
             raise ValueError("exactly one of x0 and init_box must be set")
-        if self.x0 is not None:
-            object.__setattr__(self, "x0", _as_point(self.x0, self.dimension, "x0"))
-        if self.init_box is not None:
-            object.__setattr__(self, "init_box", _as_box(self.init_box, self.dimension, "init_box"))
-        if self.clamp_box is not None:
-            object.__setattr__(self, "clamp_box", _as_box(self.clamp_box, self.dimension, "clamp_box"))
-        if self.stall_iters is not None and self.stall_iters < 1:
-            raise ValueError(f"stall_iters must be >= 1, got {self.stall_iters}")
+        for name, check in (("x0", _as_point), ("init_box", _as_box), ("clamp_box", _as_box)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check(getattr(self, name), self.dimension, name))
+        if self.stall_iters is not None:
+            object.__setattr__(self, "stall_iters", _as_int(self.stall_iters, "stall_iters", 1))
         if self.target_value is not None and not np.isfinite(self.target_value):
             raise ValueError(f"target_value must be finite, got {self.target_value}")
 
@@ -255,8 +263,7 @@ def sample_direction(k: int, rng: np.random.Generator) -> Array:
     Components are i.i.d. uniform on [-1, 1]; draws whose norm falls below
     1e-12 are rejected and resampled before normalizing.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _as_int(k, "k", 1)
     while True:
         v = rng.uniform(-1.0, 1.0, size=k)
         norm = float(np.sqrt(np.add.reduce(v * v)))
@@ -337,8 +344,8 @@ def detect_step(x: Array, delta: float, b: Array, f_r: float, f_l: float) -> Arr
 def init_position(config: BasConfig, rng: np.random.Generator) -> Array:
     """Starting position: the explicit ``x0``, or a uniform draw from ``init_box``."""
     if config.x0 is not None:
-        return np.asarray(config.x0, dtype=float)
-    box = np.asarray(config.init_box, dtype=float)
+        return config.x0.copy()
+    box = config.init_box
     # What rng.uniform(lo, hi) computes, from the same stream, bit for bit,
     # without its argument broadcasting and range checks.
     return box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(len(box))
@@ -367,8 +374,7 @@ def bas_iterate(state: SearchState, objective: ObjectiveFn,
     f_l = _evaluate(objective, x_l)
     x_new = detect_step(state.x, state.delta, b, f_r, f_l)
     if config.clamp_box is not None:
-        box = np.asarray(config.clamp_box, dtype=float)
-        x_new = np.clip(x_new, box[:, 0], box[:, 1])
+        x_new = np.clip(x_new, config.clamp_box[:, 0], config.clamp_box[:, 1])
     f_new = _evaluate(objective, x_new)
 
     state.x = x_new
@@ -456,7 +462,7 @@ def _start_points(config: BasConfig, rngs: Sequence[np.random.Generator]) -> Arr
     u = np.empty((len(rngs), config.dimension))
     for rng, row in zip(rngs, u):
         rng.random(out=row)
-    box = np.asarray(config.init_box, dtype=float)
+    box = config.init_box
     return box[:, 0] + (box[:, 1] - box[:, 0]) * u
 
 
@@ -488,7 +494,6 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     rngs = _generators(seeds)
     target, patience = config.target_value, config.stall_iters
     ahead = target is None and patience is None  # every live row runs to max_iters
-    clamp = None if config.clamp_box is None else np.asarray(config.clamp_box, dtype=float).T
 
     chunk = min(config.max_iters, _DIRECTION_CHUNK)
     # A chunk's directions are stored for the rows live when it is drawn, in
@@ -564,8 +569,8 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
             step = delta * b
             step *= np.sign(f_r - f_l)[:, None]
             x = np.subtract(x, step, out=points[:m])
-            if clamp is not None:
-                np.clip(x, clamp[0], clamp[1], out=x)
+            if config.clamp_box is not None:
+                np.clip(x, *config.clamp_box.T, out=x)
             d_next = advance_schedule(d, config.d_schedule)
             if ahead and t + 1 < config.max_iters:
                 f_new, f_r, f_l, b = evaluate(0, 3, t + 1, probe(t + 1, d_next))

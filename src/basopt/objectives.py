@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-Array = np.ndarray
+from .core import Array, _as_int
 
 # 2-D Michalewicz optimum to full double precision (the steep-valley
 # benchmark's minimum; commonly quoted rounded as -1.8013 at
@@ -114,7 +114,7 @@ def _in_columns(x: Array) -> bool:
     return x.ndim == 2 and 1 < x.shape[1] < 8 and len(x) >= _COLUMN_ROWS * x.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Objective:
     """A benchmark function bound to a concrete dimension.
 
@@ -122,12 +122,14 @@ class Objective:
     value depends only on row i, whatever the other rows. Calling the
     objective evaluates a single point and returns a builtin float;
     ``batch`` maps an (n, k) array of points to an (n,) array of values.
+    ``init_box`` is the default box, from ``lookup_objective`` a read-only
+    ``(k, 2)`` float64 array. Objectives compare and hash by identity.
     """
 
     name: str
     dimension: int
     fn: Callable[[Array], float | Array]
-    init_box: tuple
+    init_box: Array
     known_optimum: Optional[tuple] = None  # ((coords...), value)
 
     def __call__(self, x) -> float:
@@ -166,11 +168,9 @@ def lookup_objective(name: str, dimension: int) -> Objective:
         raise ValueError(
             f"objective {name!r} is unknown; valid names: {', '.join(objective_names())}")
     fn, fixed_dim, axis, optimum = _REGISTRY[name]
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if dimension > sys.maxsize:
-        raise ValueError(f"dimension must be <= {sys.maxsize}, got {dimension}")
+    dimension = _as_int(dimension, "dimension", 1, sys.maxsize)
     if fixed_dim is not None and dimension != fixed_dim:
         raise ValueError(f"dimension must be {fixed_dim} for {name}, got {dimension}")
-    return Objective(name=name, dimension=dimension, fn=fn, init_box=(axis,) * dimension,
+    return Objective(name=name, dimension=dimension, fn=fn,
+                     init_box=np.broadcast_to(axis, (dimension, 2)),
                      known_optimum=optimum(dimension))

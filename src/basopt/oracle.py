@@ -13,28 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, _as_box
+from .core import Array, _as_box, _as_int
 from .objectives import Objective
 
 _CHUNK = 1 << 16
 _MAX_NODES = 10 ** 8  # largest lattice a GridSpec accepts: a guard for resolution ** k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Axis-aligned lattice: per-axis (lo, hi) bounds and points per axis."""
+    """Axis-aligned lattice: per-axis (lo, hi) bounds, a read-only float64 copy,
+    and an integer number of points per axis. Compared by identity."""
 
-    box: tuple
+    box: Array
     resolution: int
 
     def __post_init__(self):
         object.__setattr__(self, "box", _as_box(self.box, None, "box"))
-        if self.resolution < 2:
-            raise ValueError(f"resolution must be >= 2, got {self.resolution}")
+        object.__setattr__(self, "resolution", _as_int(self.resolution, "resolution", 2))
         if self.n_nodes > _MAX_NODES:
             raise ValueError(f"grid of {self.n_nodes} nodes exceeds the cap of {_MAX_NODES}")
         with np.errstate(over="ignore"):
-            span = (self.resolution - 1) * np.diff(np.asarray(self.box), axis=1)
+            span = (self.resolution - 1) * np.diff(self.box, axis=1)
         if not np.all(np.isfinite(span)):
             raise ValueError("box (resolution - 1) * (hi - lo) overflows on some axis")
 
@@ -113,9 +113,8 @@ def random_search_baseline(objective: Objective, box, n_evals: int,
                            rng: np.random.Generator) -> tuple[Array, float]:
     """Best of ``n_evals`` uniform samples in ``box``; ties go to the
     earliest sample."""
-    box = np.asarray(_as_box(box, objective.dimension, "box"), dtype=float)
-    if n_evals < 1:
-        raise ValueError(f"n_evals must be >= 1, got {n_evals}")
+    box = _as_box(box, objective.dimension, "box")
+    n_evals = _as_int(n_evals, "n_evals", 1)
     draws = (rng.uniform(box[:, 0], box[:, 1], size=(min(_CHUNK, n_evals - start), len(box)))
              for start in range(0, n_evals, _CHUNK))
     return _minimum(objective, draws, "objective is not finite at any sample")

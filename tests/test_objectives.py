@@ -250,7 +250,7 @@ def test_registry_names():
 def test_lookup_michalewicz_default_dim():
     obj = lookup_objective("michalewicz", 2)
     assert obj.dimension == 2
-    assert obj.init_box == ((0.0, np.pi), (0.0, np.pi))
+    assert np.array_equal(obj.init_box, ((0.0, np.pi), (0.0, np.pi)))
     coords, value = obj.known_optimum
     assert obj(np.array(coords)) == pytest.approx(value, rel=1e-6)
 
@@ -258,13 +258,13 @@ def test_lookup_michalewicz_default_dim():
 def test_lookup_michalewicz_other_dims():
     obj = lookup_objective("michalewicz", 5)
     assert obj.dimension == 5
-    assert obj.init_box == ((0.0, np.pi),) * 5
+    assert np.array_equal(obj.init_box, ((0.0, np.pi),) * 5)
     assert obj.known_optimum is None
 
 
 def test_lookup_goldstein_price():
     obj = lookup_objective("goldstein_price", 2)
-    assert obj.init_box == ((-2.0, 2.0), (-2.0, 2.0))
+    assert np.array_equal(obj.init_box, ((-2.0, 2.0), (-2.0, 2.0)))
     coords, value = obj.known_optimum
     assert coords == (0.0, -1.0) and value == 3.0
     assert obj(np.array([0.0, -1.0])) == 3.0
@@ -272,7 +272,7 @@ def test_lookup_goldstein_price():
 
 def test_lookup_sphere():
     obj = lookup_objective("sphere", 3)
-    assert obj.init_box == ((-1.0, 1.0),) * 3
+    assert np.array_equal(obj.init_box, ((-1.0, 1.0),) * 3)
     coords, value = obj.known_optimum
     assert obj(np.array(coords)) == value == 0.0
 
