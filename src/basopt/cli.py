@@ -22,6 +22,7 @@ import threading
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -325,33 +326,45 @@ def emit_summary(summary: CampaignSummary, path) -> None:
     Path(path).write_text(f'{head[:-2]},\n  "trials": {_trials_json(summary.trials)}\n}}\n')
 
 
+# One trial of the trials array, as json.dumps indents it two levels deep.
+_TRIAL_JSON = ('{{\n      "evals": {},\n      "f_bst": {},\n      "seed": {},\n'
+               '      "termination": {},\n      "trial": {},\n'
+               '      "x_bst": [\n        {}\n      ]\n    }}')
+
+
 def _trials_json(trials: Sequence[RunResult]) -> str:
     """The trials array as ``json.dumps`` writes it two levels deep with
     ``indent=2, sort_keys=True, allow_nan=False``: floats by ``float.__repr__``,
-    ints by ``int.__repr__``, and the same ``ValueError`` for a value that is
-    not finite."""
-    items = []
-    for i, t in enumerate(trials):
-        for value in (t.f_bst, *t.x_bst):
+    ints by ``int.__repr__``, and the same ``ValueError`` for the first value,
+    in trial order, that is not finite. Each field is formatted for all
+    trials at once, a column of ``x_bst`` at a time."""
+    if not trials:
+        return "[]"
+    f_bst = list(map(float.__repr__, map(attrgetter("f_bst"), trials)))
+    x_bst = [list(map(float.__repr__, column))
+             for column in zip(*map(attrgetter("x_bst"), trials))]
+    if any("n" in "".join(text) for text in (f_bst, *x_bst)):  # "inf" or "nan"
+        for value in (v for t in trials for v in (t.f_bst, *t.x_bst)):
             if not math.isfinite(value):
                 raise ValueError("Out of range float values are not JSON compliant: "
                                  + repr(value))
-        x_bst = ",\n        ".join(map(float.__repr__, t.x_bst))
-        items.append(f'{{\n      "evals": {int.__repr__(t.evals)},\n'
-                     f'      "f_bst": {float.__repr__(t.f_bst)},\n'
-                     f'      "seed": {int.__repr__(t.seed)},\n'
-                     f'      "termination": {json.dumps(t.termination)},\n'
-                     f'      "trial": {int.__repr__(i)},\n'
-                     f'      "x_bst": [\n        {x_bst}\n      ]\n    }}')
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    items = map(_TRIAL_JSON.format,
+                map(int.__repr__, map(attrgetter("evals"), trials)),
+                f_bst,
+                map(int.__repr__, map(attrgetter("seed"), trials)),
+                map(json.dumps, map(attrgetter("termination"), trials)),
+                map(int.__repr__, range(len(trials))),
+                map(",\n        ".join, zip(*x_bst)))
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
 @contextmanager
 def _interruptible():
     """While the block runs on the main thread (elsewhere no handler can be
-    set), SIGTERM or SIGHUP prints one error line and raises ``SystemExit``
-    with 128 + the signal's number, which removes the staging directory on
-    its way out. The previous handlers are restored afterwards."""
+    set), SIGTERM, SIGHUP or SIGINT prints one error line and raises
+    ``SystemExit`` with 128 + the signal's number, which removes the staging
+    directory on its way out. A SIGINT that is ignored, as in a background
+    job, stays ignored. The previous handlers are restored afterwards."""
     if threading.current_thread() is not threading.main_thread():
         yield
         return
@@ -363,8 +376,10 @@ def _interruptible():
         print(f"error: interrupted by {signal.Signals(signum).name}", file=sys.stderr)
         raise SystemExit(128 + signum)
 
-    previous = {signum: signal.signal(signum, interrupt)
-                for signum in (signal.SIGTERM, signal.SIGHUP)}
+    signums = [signal.SIGTERM, signal.SIGHUP]
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+        signums.append(signal.SIGINT)
+    previous = {signum: signal.signal(signum, interrupt) for signum in signums}
     try:
         yield
     finally:

@@ -43,6 +43,7 @@ results carry each seed as a Python ``int``.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -280,25 +281,31 @@ def sample_directions(rngs: Sequence[np.random.Generator], out: Array) -> None:
     ``u *= 2; u -= 1`` is then the ``-1 + 2*u`` that ``uniform`` computes, bit
     for bit, as ``2*u`` is exact. Every row's norm is the same ``np.add``
     reduction of squares that ``sample_direction`` applies to a single vector,
-    so the rows match the one-at-a-time draws bit for bit; the squares are
-    taken a few slices at a time, in at most ``_SQUARES_BYTES`` (or one
-    slice), which bounds the temporary and not the bits. Neither calls BLAS,
-    whose kernel depends on the CPU. A row short enough to be rejected is
-    dropped: the slice keeps its accepted rows in order and draws the missing
-    ones with ``sample_direction``, which leaves the stream where one-at-a-time
-    draws would have left it.
+    so the rows match the one-at-a-time draws bit for bit. Below 8 terms that
+    reduction adds them in index order, so the norms are column adds there;
+    from 8 terms on, the squares are taken a few slices at a time, in at most
+    ``_SQUARES_BYTES`` (or one slice), which bounds the temporary and not the
+    bits. Neither calls BLAS, whose kernel depends on the CPU. A row short
+    enough to be rejected is dropped: the slice keeps its accepted rows in
+    order and draws the missing ones with ``sample_direction``, which leaves
+    the stream where one-at-a-time draws would have left it.
     """
     for rng, u in zip(rngs, out):
         rng.random(out=u)
     out *= 2.0
     out -= 1.0
-    norms = np.empty(out.shape[:2])
-    group = max(1, _SQUARES_BYTES // (8 * out.shape[1] * out.shape[2]))  # slices at once
-    squares = np.empty((min(group, len(out)), *out.shape[1:]))
-    for i in range(0, len(out), group):
-        part = out[i:i + group]
-        np.multiply(part, part, out=squares[:len(part)])
-        np.add.reduce(squares[:len(part)], axis=-1, out=norms[i:i + group])
+    if out.shape[2] < 8:  # summed in index order, as add.reduce sums fewer than 8 terms
+        norms = out[..., 0] * out[..., 0]
+        for j in range(1, out.shape[2]):
+            norms += out[..., j] * out[..., j]
+    else:
+        norms = np.empty(out.shape[:2])
+        group = max(1, _SQUARES_BYTES // (8 * out.shape[1] * out.shape[2]))  # slices at once
+        squares = np.empty((min(group, len(out)), *out.shape[1:]))
+        for i in range(0, len(out), group):
+            part = out[i:i + group]
+            np.multiply(part, part, out=squares[:len(part)])
+            np.add.reduce(squares[:len(part)], axis=-1, out=norms[i:i + group])
     np.sqrt(norms, out=norms)
     short = norms < _MIN_DIRECTION_NORM
     norms[short] = 1.0
@@ -497,7 +504,8 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
 
     chunk = min(config.max_iters, _DIRECTION_CHUNK)
     # A chunk's directions are stored for the rows live when it is drawn, in
-    # order: those of live row i are directions[place[i]].
+    # order: those of live row i are directions[i] until a row is dropped,
+    # and directions[place[i]] after (place is None until then).
     directions = np.empty((n, chunk, k))
     # The live positions, then their tips x + d*b, then x - d*b.
     points = np.empty((3 * n, k))
@@ -514,12 +522,14 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     x[...] = _start_points(config, rngs)
     x_bst, f_bst = x.copy(), np.empty(n)  # f_bst is set by the start batch
     stall = np.zeros(n, dtype=int)
-    place = rows
+    place = None
     kept = n_keep  # live recorded rows
 
     def retain(ok, *extra):
         """Compact the live state, and the arrays ``extra``, to ``ok``."""
         nonlocal rows, x, x_bst, f_bst, stall, place, kept
+        if place is None:
+            place = np.arange(rows.size)
         rows, x, x_bst, f_bst, stall, place = (
             a[ok] for a in (rows, x, x_bst, f_bst, stall, place))
         kept = int(np.searchsorted(rows, n_keep))
@@ -534,8 +544,8 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
         if j == 0:
             count = min(chunk, config.max_iters - t)
             sample_directions([rngs[row] for row in rows.tolist()], directions[:m, :count])
-            place = np.arange(m)
-        b = directions[place, j]
+            place = None
+        b = directions[:m, j].copy() if place is None else directions[place, j]
         offset = d * b
         np.add(x, offset, out=points[m:2 * m])
         np.subtract(x, offset, out=points[2 * m:3 * m])
@@ -655,7 +665,8 @@ def derive_trial_seeds(master_seed: int, trials: int) -> list:
     """``[derive_trial_seed(master_seed, i) for i in range(trials)]``, as
     Python ints, hashed for all trials at once (``_seed_states``). The master
     seed must be a non-negative integer."""
-    return _seed_states((_as_seed(master_seed),), range(trials), 1)[:, 0].tolist()
+    trials = np.arange(operator.index(trials), dtype=np.uint64)
+    return _seed_states((_as_seed(master_seed),), trials, 1)[:, 0].tolist()
 
 
 def _as_seed(seed) -> int:
@@ -694,18 +705,24 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _seed_states(head: tuple, values: Sequence[int], n_words: int) -> Array:
+def _seed_states(head: tuple, values, n_words: int) -> Array:
     """``SeedSequence((*head, v)).generate_state(n_words, np.uint64)`` for
-    every non-negative int ``v`` in ``values``, as one (len(values), n_words)
-    C-ordered uint64 array; ``head`` holds non-negative ints too.
+    every ``v`` in ``values``, as one (len(values), n_words) C-ordered uint64
+    array. ``values`` is a uint64 array or a sequence of non-negative ints,
+    and ``head`` holds non-negative ints.
 
     ``SeedSequence``'s entropy is the little-endian 32-bit words of each int
     in turn (one word for 0). Values with as many words are hashed together,
     every step on a uint32 array with one element per value: the hash
     constants advance the same way whatever the data, so they stay Python
     ints, and array arithmetic wraps modulo 2^32 as ``SeedSequence``'s does.
+    Values all below 2^64 are split into their low and high words in one
+    array pass (``_narrow_states``); only where an int of 2^64 or more is
+    among them are the values grouped one at a time by their entropy bytes.
     """
     head_bytes = b"".join(map(_entropy_bytes, head))
+    if isinstance(values, np.ndarray) or max(values, default=0) >> 64 == 0:
+        return _narrow_states(head_bytes, np.ascontiguousarray(values, dtype="<u8"), n_words)
     groups = {}  # entropy length -> (rows, entropy bytes of each row)
     for row, v in enumerate(values):
         data = _entropy_bytes(v)
@@ -715,9 +732,37 @@ def _seed_states(head: tuple, values: Sequence[int], n_words: int) -> Array:
     out = np.empty((len(values), n_words), dtype=np.uint64)
     for rows, entropy in groups.values():
         words = np.frombuffer(b"".join(entropy), dtype="<u4").reshape(len(rows), -1)
-        state = _generate_state(_mix_entropy(list(words.T)), 2 * n_words)
-        out[rows] = (state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << 32).T
+        out[rows] = _states(list(words.T), n_words)
     return out
+
+
+def _narrow_states(head_bytes: bytes, values: Array, n_words: int) -> Array:
+    """``_seed_states`` of the uint64 array ``values`` after the entropy
+    ``head_bytes``: values below 2^32 are hashed as one word, the others as
+    two, with the head's words broadcast to each group."""
+    lo, hi = values.view("<u4").reshape(-1, 2).T
+
+    def hashed(*words):
+        head = [np.broadcast_to(w, len(words[0])) for w in np.frombuffer(head_bytes, "<u4")]
+        return _states(head + list(words), n_words)
+
+    two = hi != 0  # values of two words
+    if not two.any():
+        return hashed(lo)
+    out = np.empty((len(values), n_words), dtype=np.uint64)
+    out[~two] = hashed(lo[~two])
+    out[two] = hashed(lo[two], hi[two])
+    return out
+
+
+def _states(entropy: list, n_words: int) -> Array:
+    """``generate_state(n_words, np.uint64)`` of every column of the entropy
+    words (a list of equal-length uint32 arrays), one C-ordered row each."""
+    state = _generate_state(_mix_entropy(entropy), 2 * n_words)
+    words = state[1::2].astype(np.uint64)
+    words <<= 32
+    words |= state[0::2]
+    return np.ascontiguousarray(words.T)
 
 
 def _entropy_bytes(value: int) -> bytes:

@@ -589,14 +589,15 @@ def _summary_doc(summary: CampaignSummary) -> dict:
 @given(k=st.integers(1, 12), n=st.integers(1, 6), data=st.data())
 def test_summary_writer_matches_json_dumps(k, n, data):
     """``emit_summary`` writes the bytes of ``json.dumps(doc, indent=2,
-    sort_keys=True, allow_nan=False)`` and raises its ``ValueError`` for a
-    trial value that is not finite."""
+    sort_keys=True, allow_nan=False)`` and raises its ``ValueError`` for the
+    first trial value that is not finite."""
     values = [data.draw(st.lists(_JSON_FLOATS, min_size=k + 1, max_size=k + 1))
               for _ in range(n)]
-    bad = data.draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, k),
-                                          st.sampled_from([np.inf, -np.inf, np.nan])))
-    if bad is not None:  # position 0 is f_bst, the others x_bst
-        values[bad[0]][bad[1]] = bad[2]
+    bad = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k),
+                                       st.sampled_from([np.inf, -np.inf, np.nan])),
+                             max_size=2))
+    for trial, position, value in bad:  # position 0 is f_bst, the others x_bst
+        values[trial][position] = value
     trials = tuple(
         RunResult(trajectory=np.empty((0, 4 + k)), x_bst=tuple(v[1:]), f_bst=v[0],
                   evals=data.draw(st.integers(1, 10 ** 12)),
@@ -615,12 +616,12 @@ def test_summary_writer_matches_json_dumps(k, n, data):
             want = json.dumps(_summary_doc(summary), indent=2, sort_keys=True,
                               allow_nan=False) + "\n"
         except ValueError as err:
-            assert bad is not None
+            assert bad
             with pytest.raises(ValueError) as exc:
                 emit_summary(summary, path)
             assert str(exc.value) == str(err)
             return
-        assert bad is None
+        assert not bad
         emit_summary(summary, path)
         assert path.read_bytes() == want.encode()
 
@@ -931,7 +932,14 @@ def test_failed_campaign_creates_no_out_dir(tmp_path, capsys):
     assert not (tmp_path / "fresh").exists()
 
 
-@pytest.mark.parametrize("signame", ["SIGTERM", "SIGHUP"])
+# ``python -m basopt.cli`` as started in the foreground: a SIGINT ignored by
+# whatever ran the tests is handled again, as Python handles it at start-up.
+_FOREGROUND_CLI = ("import runpy, signal; "
+                   "signal.signal(signal.SIGINT, signal.default_int_handler); "
+                   "runpy.run_module('basopt.cli', run_name='__main__')")
+
+
+@pytest.mark.parametrize("signame", ["SIGTERM", "SIGHUP", "SIGINT"])
 def test_a_signal_ends_a_campaign_without_leaving_its_staging(tmp_path, signame):
     """Killed while it runs, a campaign removes its staging directory and
     the out-dir it created, and exits with 128 + the signal's number."""
@@ -941,7 +949,7 @@ def test_a_signal_ends_a_campaign_without_leaving_its_staging(tmp_path, signame)
     env.pop("PYTHONWARNINGS", None)
     # minutes of search, in blocks of one trial and with no history
     proc = subprocess.Popen(
-        [sys.executable, "-m", "basopt.cli", "run", "--objective", "sphere", "--dim", "1000",
+        [sys.executable, "-c", _FOREGROUND_CLI, "run", "--objective", "sphere", "--dim", "1000",
          "--iters", "100000", "--trials", "50", "--traj", "none", "--out-dir", str(out_dir)],
         cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
@@ -961,10 +969,31 @@ def test_a_signal_ends_a_campaign_without_leaving_its_staging(tmp_path, signame)
 
 
 def test_a_campaign_restores_the_signal_handlers(tmp_path, capsys):
-    before = [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGHUP)]
+    signums = (signal.SIGTERM, signal.SIGHUP, signal.SIGINT)
+    before = [signal.getsignal(s) for s in signums]
     assert main(["run", "--objective", "sphere", "--traj", "none",
                  "--out-dir", str(tmp_path)]) == 0
-    assert [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGHUP)] == before
+    assert [signal.getsignal(s) for s in signums] == before
+    assert capsys.readouterr().err == ""
+
+
+def test_an_ignored_sigint_stays_ignored_while_a_campaign_runs(tmp_path, capsys):
+    """A background job starts with SIGINT ignored; the campaign keeps it so."""
+    seen = []
+
+    def campaign(cfg):
+        seen.append(signal.getsignal(signal.SIGINT))
+        return run_campaign(cfg)
+
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        with mock.patch.object(cli, "run_campaign", campaign):
+            assert main(["run", "--objective", "sphere", "--traj", "none",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert seen == [signal.SIG_IGN]
     assert capsys.readouterr().err == ""
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the search state machine."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,6 +488,23 @@ _SEEDS = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1
 def test_block_generators_equal_default_rng(seeds):
     for seed, rng in zip(seeds, _generators(seeds)):
         assert rng.random(64).tobytes() == np.random.default_rng(seed).random(64).tobytes()
+
+
+def test_a_million_trial_seeds_peak_below_96_mib():
+    """The seeds of a million trials are hashed as uint64 words, in one pass
+    of arrays: the ``tracemalloc`` peak, the returned list of ints included,
+    stays below 96 MiB (per-value grouping of their entropy bytes peaked at
+    173.5 MiB), and a sample of them is ``derive_trial_seed``'s."""
+    tracemalloc.start()
+    try:
+        seeds = derive_trial_seeds(0, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 << 20
+    assert len(seeds) == 10 ** 6
+    sample = range(0, 10 ** 6, 99_991)
+    assert [seeds[i] for i in sample] == [derive_trial_seed(0, i) for i in sample]
 
 
 _NOT_A_SEED = "seed must be a non-negative integer"

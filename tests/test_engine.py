@@ -617,7 +617,7 @@ def test_a_block_whose_last_live_row_stops_before_max_iters():
 # ---------------------------------------------------------------------------
 # batched directions
 
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 10, 16, 33, 100])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 10, 16, 33, 100])
 def test_batched_directions_equal_sample_direction_bitwise(k):
     """Three generators fill the first 499 of 500 rows of their slices (a
     strided view, as for the last chunk of a search); each slice holds its

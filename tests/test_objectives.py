@@ -240,6 +240,29 @@ def test_column_sums_add_in_the_order_of_reduce(k, n, data):
     assert got.tobytes() == np.add.reduce(x, axis=-1).tobytes()
 
 
+def _signed_terms(shape, seed):
+    """Terms of either sign between 1 and 1e16, a tenth of them signed zeros,
+    whose sums round differently in almost any order but index order."""
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random(shape) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(0.0, 16.0, shape)
+    return np.where(rng.random(shape) < 0.1, np.copysign(0.0, x), x)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_numpy_adds_fewer_than_8_terms_of_a_row_in_index_order(k):
+    """``np.add.reduce`` along the last axis adds a row of fewer than 8
+    float64 terms from 0.0 in index order: the sums of sequential column
+    adds, bit for bit. The objectives' column layout and the column-add norms
+    of ``sample_directions`` (whose squares make the leading 0.0 a no-op)
+    rest on this, so a numpy that changes it fails here first."""
+    for shape in ((5000, k), (4, 100, k), (k,)):
+        x = _signed_terms(shape, k)
+        want = np.add(0.0, x[..., 0])
+        for j in range(1, k):
+            want = want + x[..., j]
+        assert np.add.reduce(x, axis=-1).tobytes() == np.asarray(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # registry
 
