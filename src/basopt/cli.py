@@ -363,8 +363,9 @@ def _interruptible():
     """While the block runs on the main thread (elsewhere no handler can be
     set), SIGTERM, SIGHUP or SIGINT prints one error line and raises
     ``SystemExit`` with 128 + the signal's number, which removes the staging
-    directory on its way out. A SIGINT that is ignored, as in a background
-    job, stays ignored. The previous handlers are restored afterwards."""
+    directory on its way out. A signal ignored at the start stays ignored,
+    as SIGINT in a background job or SIGHUP under ``nohup``. The previous
+    handlers are restored afterwards."""
     if threading.current_thread() is not threading.main_thread():
         yield
         return
@@ -376,9 +377,8 @@ def _interruptible():
         print(f"error: interrupted by {signal.Signals(signum).name}", file=sys.stderr)
         raise SystemExit(128 + signum)
 
-    signums = [signal.SIGTERM, signal.SIGHUP]
-    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
-        signums.append(signal.SIGINT)
+    signums = [signum for signum in (signal.SIGTERM, signal.SIGHUP, signal.SIGINT)
+               if signal.getsignal(signum) is not signal.SIG_IGN]
     previous = {signum: signal.signal(signum, interrupt) for signum in signums}
     try:
         yield

@@ -4,7 +4,8 @@ The raw functions accept a single point of shape (k,) or a batch of shape
 (n, k) and reduce over the last axis; ``Objective`` wraps them with a bound
 dimension, a default initialization box, and the known optimum where one is
 established. All functions are pure and row-wise. ``Objective.batch``
-evaluates a batch in one ``fn`` call on the calling thread.
+evaluates a batch on the calling thread, in one ``fn`` call unless the batch
+is a lattice chunk (below).
 
 A batch of k = 2 to 7 coordinates and at least ``_COLUMN_ROWS * k`` rows goes
 through ``michalewicz`` and ``sphere`` in column layout: every step works on
@@ -15,6 +16,15 @@ terms of a point from 0.0 in index order, the order in which it adds a row
 of fewer than 8 terms along axis -1, so the values are the row layout's, bit
 for bit. From 8 terms on numpy sums a row pairwise, so wider batches keep
 the row layout, as do single points and smaller batches.
+
+The same order lets ``Objective.batch`` evaluate a lattice chunk of
+``grid_search`` without computing a term per coordinate of every node, for
+the registry's ``michalewicz`` and ``sphere`` with fewer than 8 axes. Both
+add one term per axis that depends only on that coordinate, so each axis's
+terms are computed once per node of that axis in the chunk, by the helpers
+that the functions' own layouts use, and each node's terms are added from
+0.0 in index order: ``np.add.reduce``'s bits. Goldstein-Price, other
+functions and 8 or more axes take the chunk as an ordinary batch.
 """
 
 from __future__ import annotations
@@ -59,11 +69,20 @@ def michalewicz(x, m: int = 10) -> float | Array:
     i, axis = np.arange(1, x.shape[-1] + 1, dtype=float), -1
     if _in_columns(x):
         x, i, axis = x.T, i[:, None], 0
-    # -sum(sin(x) * sin(i * x * x / pi) ** (2m)) in two buffers, with the power
-    # by left-to-right binary exponentiation: after the leading 1 of 2m, each
-    # bit squares p and a 1 bit then multiplies it by t (m = 10: t^2, t^4,
-    # t^5, t^10, t^20). Every step is a correctly rounded multiplication, so
-    # the bits, unlike those of numpy's power loop, do not depend on the CPU.
+    total = np.add.reduce(_michalewicz_terms(x, i, m), axis=axis)
+    # Negated in place unless a single point's sum is a numpy scalar: a new
+    # array would raise the peak memory of a large batch.
+    return np.negative(total, out=total) if total.ndim else -total
+
+
+def _michalewicz_terms(x: Array, i, m: int = 10) -> Array:
+    """The terms sin(x) * sin(i * x^2 / pi)^(2m) of ``x`` as a new C-ordered
+    array, ``i`` the 1-based axis indices broadcast against ``x``."""
+    # Two buffers, with the power by left-to-right binary exponentiation:
+    # after the leading 1 of 2m, each bit squares p and a 1 bit then
+    # multiplies it by t (m = 10: t^2, t^4, t^5, t^10, t^20). Every step is a
+    # correctly rounded multiplication, so the bits, unlike those of numpy's
+    # power loop, do not depend on the CPU.
     t = np.multiply(i, x, order="C")
     t *= x
     t /= np.pi
@@ -76,10 +95,7 @@ def michalewicz(x, m: int = 10) -> float | Array:
             p *= t
     np.sin(x, out=t)
     t *= p
-    total = np.add.reduce(t, axis=axis)
-    # Negated in place unless a single point's sum is a numpy scalar: a new
-    # array would raise the peak memory of a large batch.
-    return np.negative(total, out=total) if total.ndim else -total
+    return t
 
 
 def goldstein_price(x) -> float | Array:
@@ -105,13 +121,46 @@ def sphere(x) -> float | Array:
     if x.ndim == 0 or x.shape[-1] < 1:
         raise ValueError("sphere needs at least one coordinate")
     if _in_columns(x):
-        return np.add.reduce(np.multiply(x.T, x.T, order="C"), axis=0)
-    return np.add.reduce(x * x, axis=-1)
+        return np.add.reduce(_sphere_terms(x.T), axis=0)
+    return np.add.reduce(_sphere_terms(x), axis=-1)
+
+
+def _sphere_terms(x: Array, i=None) -> Array:
+    """The squares of ``x`` as a new C-ordered array; ``i``, the axis indices
+    that ``_michalewicz_terms`` takes, plays no part."""
+    return np.multiply(x, x, order="C")
 
 
 def _in_columns(x: Array) -> bool:
     """Whether ``x`` is a batch to evaluate in column layout (module docstring)."""
     return x.ndim == 2 and 1 < x.shape[1] < 8 and len(x) >= _COLUMN_ROWS * x.shape[1]
+
+
+class _LatticeChunk(np.ndarray):
+    """An ``(n, k)`` float64 array of lattice nodes, as ``grid_search`` hands
+    it to ``Objective.batch``: ``rows`` runs of n / rows nodes in C order,
+    each run one node of the first k - 1 axes paired with the same n / rows
+    nodes of the last axis. An array made from it, a view or a copy, has
+    ``rows = None`` and is an ordinary batch."""
+
+    rows = None
+
+
+def _lattice_sum(points: Array, rows: int, terms) -> Array:
+    """The sums of per-axis ``terms`` at the nodes of a lattice chunk of
+    ``rows`` runs. Each axis's terms are computed once per node the chunk
+    holds, and a node's terms are added from 0.0 in index order."""
+    k = points.shape[1]
+    i = np.arange(1, k + 1, dtype=float)
+    block = points.reshape(rows, -1, k)
+    lead = terms(block[:, 0, :-1], i[:-1])
+    total = np.add.reduce(lead, axis=-1)[:, None] + terms(block[0, :, -1], i[-1])
+    return total.reshape(-1)
+
+
+# Registry functions that add one term per axis: (function, its terms, whether
+# the sum is negated).
+_PER_AXIS = ((michalewicz, _michalewicz_terms, True), (sphere, _sphere_terms, False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +170,9 @@ class Objective:
     ``fn`` is batch-capable (maps (..., k) to (...)) and row-wise: row i's
     value depends only on row i, whatever the other rows. Calling the
     objective evaluates a single point and returns a builtin float;
-    ``batch`` maps an (n, k) array of points to an (n,) array of values.
+    ``batch`` maps an (n, k) array of points to an (n,) array of values; on
+    a lattice chunk of ``grid_search`` it sums the per-axis terms of
+    ``michalewicz`` and ``sphere`` in place of calling ``fn``.
     ``init_box`` is the default box, from ``lookup_objective`` a read-only
     ``(k, 2)`` float64 array. Objectives compare and hash by identity.
     """
@@ -140,10 +191,21 @@ class Objective:
         return float(self.fn(x))
 
     def batch(self, points) -> Array:
+        """The ``(n,)`` float64 values of an ``(n, k)`` array of points, from
+        one ``fn`` call on the calling thread. A lattice chunk of
+        ``grid_search`` for ``michalewicz`` or ``sphere`` with fewer than 8
+        axes is summed from each axis's terms instead, with the same bits
+        (module docstring), and ``fn`` is not called."""
+        rows = points.rows if isinstance(points, _LatticeChunk) else None
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError(
                 f"{self.name} expects points of shape (n, {self.dimension}), got {points.shape}")
+        if rows and self.dimension < 8:
+            for fn, terms, negate in _PER_AXIS:
+                if self.fn is fn:
+                    total = _lattice_sum(points, rows, terms)
+                    return np.negative(total, out=total) if negate else total
         return np.asarray(self.fn(points), dtype=float)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Array, _as_box, _as_int
-from .objectives import Objective
+from .objectives import Objective, _LatticeChunk
 
 _CHUNK = 1 << 16
 _MAX_NODES = 10 ** 8  # largest lattice a GridSpec accepts: a guard for resolution ** k
@@ -70,7 +70,7 @@ def _minimum(objective: Objective, chunks, nowhere: str) -> tuple[Array, float]:
                 values = np.where(np.isfinite(values), values, np.inf)
                 i = int(np.argmin(values))
             if values[i] < best_value:
-                best_point, best_value = points[i].copy(), float(values[i])
+                best_point, best_value = np.array(points[i]), float(values[i])
     if best_point is None:
         raise ValueError(nowhere)
     return best_point, best_value
@@ -78,7 +78,11 @@ def _minimum(objective: Objective, chunks, nowhere: str) -> tuple[Array, float]:
 
 def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
     """Minimize over every lattice node; ties go to the lexicographically
-    smallest coordinates."""
+    smallest coordinates. Every node goes once through ``objective.batch``,
+    in C-order chunks that are ``_LatticeChunk`` arrays, so ``michalewicz``
+    and ``sphere`` with fewer than 8 axes compute each axis's terms once per
+    chunk node of that axis, with the bits of a plain batch. The point
+    returned is a plain ``np.ndarray``."""
     if grid.dimension != objective.dimension:
         raise ValueError(
             f"grid has {grid.dimension} axes but {objective.name} expects {objective.dimension}")
@@ -104,7 +108,9 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
                 block[..., -1] = axes[-1][col:col + n_col]
                 for j, index in enumerate(lead):
                     block[..., j] = axes[j][index, None]
-                yield points
+                chunk = points.view(_LatticeChunk)
+                chunk.rows = n_run
+                yield chunk
 
     return _minimum(objective, chunks(), "objective is not finite at any grid node")
 

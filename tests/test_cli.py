@@ -932,25 +932,24 @@ def test_failed_campaign_creates_no_out_dir(tmp_path, capsys):
     assert not (tmp_path / "fresh").exists()
 
 
-# ``python -m basopt.cli`` as started in the foreground: a SIGINT ignored by
-# whatever ran the tests is handled again, as Python handles it at start-up.
-_FOREGROUND_CLI = ("import runpy, signal; "
-                   "signal.signal(signal.SIGINT, signal.default_int_handler); "
-                   "runpy.run_module('basopt.cli', run_name='__main__')")
-
-
-@pytest.mark.parametrize("signame", ["SIGTERM", "SIGHUP", "SIGINT"])
-def test_a_signal_ends_a_campaign_without_leaving_its_staging(tmp_path, signame):
-    """Killed while it runs, a campaign removes its staging directory and
-    the out-dir it created, and exits with 128 + the signal's number."""
-    out_dir = tmp_path / "killed"
+def _signalled_campaign(tmp_path, signame, handler, iters, trials):
+    """Run ``python -m basopt.cli run`` on a 1000-D sphere in a child whose
+    ``signame`` starts with ``handler`` (a name in ``signal``), whatever
+    handles it in the test runner. Send it ``signame`` once its staging
+    directory exists, and return the child, its stdout, its stderr and the
+    out-dir."""
+    out_dir = tmp_path / "campaign"
     env = dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
     env.pop("PYTHONWARNINGS", None)
-    # minutes of search, in blocks of one trial and with no history
+    child = ("import runpy, signal; "
+             f"signal.signal(signal.{signame}, signal.{handler}); "
+             "runpy.run_module('basopt.cli', run_name='__main__')")
+    # blocks of one trial and no history
     proc = subprocess.Popen(
-        [sys.executable, "-c", _FOREGROUND_CLI, "run", "--objective", "sphere", "--dim", "1000",
-         "--iters", "100000", "--trials", "50", "--traj", "none", "--out-dir", str(out_dir)],
+        [sys.executable, "-c", child, "run", "--objective", "sphere", "--dim", "1000",
+         "--iters", str(iters), "--trials", str(trials), "--traj", "none",
+         "--out-dir", str(out_dir)],
         cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 10
@@ -962,6 +961,20 @@ def test_a_signal_ends_a_campaign_without_leaving_its_staging(tmp_path, signame)
     finally:
         proc.kill()
         proc.communicate()
+    return proc, stdout, stderr, out_dir
+
+
+# The handler each signal has at the start of a foreground Python process.
+_AT_START = {"SIGTERM": "SIG_DFL", "SIGHUP": "SIG_DFL", "SIGINT": "default_int_handler"}
+
+
+@pytest.mark.parametrize("signame", sorted(_AT_START))
+def test_a_signal_ends_a_campaign_without_leaving_its_staging(tmp_path, signame):
+    """Killed while it runs, a campaign removes its staging directory and
+    the out-dir it created, and exits with 128 + the signal's number."""
+    # minutes of search
+    proc, stdout, stderr, out_dir = _signalled_campaign(
+        tmp_path, signame, _AT_START[signame], 100000, 50)
     assert proc.returncode == 128 + getattr(signal, signame)
     assert stderr.splitlines() == [f"error: interrupted by {signame}"]
     assert stdout == ""
@@ -995,6 +1008,18 @@ def test_an_ignored_sigint_stays_ignored_while_a_campaign_runs(tmp_path, capsys)
         signal.signal(signal.SIGINT, previous)
     assert seen == [signal.SIG_IGN]
     assert capsys.readouterr().err == ""
+
+
+def test_an_ignored_sighup_leaves_a_campaign_running(tmp_path):
+    """Under ``nohup`` SIGHUP starts ignored: a campaign sent it runs on to
+    its normal exit."""
+    # a few seconds of search on 2 CPUs
+    proc, stdout, stderr, out_dir = _signalled_campaign(tmp_path, "SIGHUP", "SIG_IGN", 10000, 4)
+    assert proc.returncode == 0, stderr
+    assert stderr == ""
+    assert stdout.startswith("campaign: objective=sphere dim=1000 trials=4 iters=10000 ")
+    assert (out_dir / "summary.json").is_file()
+    assert not list(out_dir.glob(".basopt-*"))
 
 
 def test_rerun_removes_the_older_campaigns_trajectories(tmp_path):

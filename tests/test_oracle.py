@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from basopt import oracle
 from basopt.objectives import Objective, lookup_objective
@@ -107,6 +109,12 @@ def _recording(obj, batches, edges):
     return SimpleNamespace(name=obj.name, dimension=obj.dimension, batch=batch)
 
 
+def _lattice(spec):
+    """Every node of ``spec`` from one meshgrid, in C order."""
+    axes = [_axis(lo, hi, spec.resolution) for lo, hi in spec.box]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def _single_pass(obj, points, non_finite):
     """The first smallest finite value of one batch over all of ``points``,
     entries listed in ``non_finite`` excluded: (point, value), both None
@@ -149,9 +157,7 @@ def test_grid_chunk_boundaries_do_not_change_result(monkeypatch):
             assert sizes.max() <= chunk, where
             if r <= chunk:
                 assert np.all(sizes % r == 0), where  # runs of whole rows
-            # Every lattice node from one meshgrid in C order.
-            axes = [_axis(lo, hi, spec.resolution) for lo, hi in spec.box]
-            points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+            points = _lattice(spec)
             want_point, want_value = _single_pass(obj, points, _edges(batches, edges))
             assert np.concatenate(batches).tobytes() == points.tobytes(), where
             if want_point is None:
@@ -172,6 +178,87 @@ def test_grid_rows_longer_than_a_chunk_are_split():
     point, value = grid_search(_recording(obj, batches, False), spec)
     assert [len(b) for b in batches] == [oracle._CHUNK, oracle._CHUNK, 3]
     assert point.tobytes() == np.array([1.0]).tobytes() and value == -1.0
+
+
+def _hand_built(k):
+    """A per-axis sum that is no registry function, so it is never summed
+    per axis; its ``fn`` checks that it sees a plain array."""
+    def fn(x):
+        assert type(x) is np.ndarray
+        return np.add.reduce(np.cos(x) * x, axis=-1)
+    return Objective(name="hand", dimension=k, fn=fn, init_box=((0.0, 1.0),) * k)
+
+
+# Box edges, one kind per example: ordinary coordinates; thirds, whose bits
+# fill the mantissa, so that sums of 8 terms round differently pairwise than
+# in index order; tiny negative ones and signed zeros, where every Michalewicz
+# term is -0.0, so a sum that starts from its first term in place of 0.0
+# gives +0.0 where it should give -0.0; huge ones, where squares and
+# Michalewicz's i * x * x overflow; and all of these mixed.
+_EDGES = {
+    "ordinary": st.floats(-4.0, 4.0),
+    "thirds": st.floats(-12.0, 12.0).map(lambda v: v / 3),
+    "tiny": st.one_of(st.floats(100.0, 300.0).map(lambda e: -10.0 ** -e),
+                      st.sampled_from([0.0, -0.0])),
+    "huge": st.floats(150.0, 300.0).map(lambda e: 10.0 ** e).flatmap(
+        lambda v: st.sampled_from([v, -v])),
+}
+_EDGES["mixed"] = st.one_of(*_EDGES.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["michalewicz", "sphere", "goldstein_price", "hand"]),
+       k=st.one_of(st.integers(1, 8), st.just(8)), data=st.data())
+def test_grid_equals_the_argmin_of_one_plain_batch_bitwise(name, k, data):
+    """On a lattice of at most 5000 nodes, with any chunk size, every chunk's
+    values equal those of the same points as a plain array, bit for bit, the
+    nodes reach ``batch`` once each in C order, and the result is the first
+    argmin of one plain ``batch`` over the whole lattice: the same point
+    bytes, a plain ``np.ndarray``, and the same value hex."""
+    if name == "goldstein_price":
+        k = 2
+    obj = _hand_built(k) if name == "hand" else lookup_objective(name, k)
+    r = data.draw(st.integers(2, max(2, int(5000 ** (1 / k)))), label="resolution")
+    kind = _EDGES[data.draw(st.sampled_from(sorted(_EDGES)), label="edges")]
+    edges = [sorted(data.draw(st.tuples(kind, kind), label="lo, hi")) for _ in range(k)]
+    try:
+        spec = GridSpec(box=edges, resolution=r)
+    except ValueError:  # (r - 1) * (hi - lo) overflows
+        assume(False)
+    chunk = data.draw(st.one_of(st.integers(1, 64), st.sampled_from(
+        [r - 1 or 1, r, r + 1, 3 * r + 2, 1 << 16])), label="_CHUNK")
+
+    seen = []
+
+    def batch(points):
+        values = obj.batch(points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = obj.batch(np.asarray(points))
+        assert values.tobytes() == plain.tobytes()
+        seen.append(np.array(points))
+        return values
+
+    checked = SimpleNamespace(name=obj.name, dimension=k, batch=batch)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK", chunk)
+        try:
+            result = grid_search(checked, spec)
+        except ValueError as err:
+            result = err
+
+    points = _lattice(spec)
+    assert np.concatenate(seen).tobytes() == points.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = obj.batch(points)
+    values = np.where(np.isfinite(values), values, np.inf)
+    i = int(np.argmin(values))
+    if not np.isfinite(values[i]):
+        assert "not finite at any grid node" in str(result)
+    else:
+        point, value = result
+        assert type(point) is np.ndarray
+        assert point.tobytes() == points[i].tobytes()
+        assert value.hex() == float(values[i]).hex()
 
 
 def test_grid_dimension_mismatch():
