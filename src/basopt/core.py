@@ -398,7 +398,10 @@ def bas_iterate(state: SearchState, objective: ObjectiveFn,
 
 def _values(objective: ObjectiveFn, points: Array) -> Array:
     """Objective values of the rows of ``points``: one ``batch`` call when the
-    objective has one, otherwise one call per row in order."""
+    objective has one, otherwise one call per row in order. The objective
+    gets a read-only view, so it cannot move the points it is handed."""
+    points = points.view()
+    points.flags.writeable = False
     batch = getattr(objective, "batch", None)
     if batch is not None:
         return np.asarray(batch(points), dtype=float)

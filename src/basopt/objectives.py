@@ -20,11 +20,13 @@ the row layout, as do single points and smaller batches.
 The same order lets ``Objective.batch`` evaluate a lattice chunk of
 ``grid_search`` without computing a term per coordinate of every node, for
 the registry's ``michalewicz`` and ``sphere`` with fewer than 8 axes. Both
-add one term per axis that depends only on that coordinate, so each axis's
-terms are computed once per node of that axis in the chunk, by the helpers
-that the functions' own layouts use, and each node's terms are added from
-0.0 in index order: ``np.add.reduce``'s bits. Goldstein-Price, other
-functions and 8 or more axes take the chunk as an ordinary batch.
+add one term per axis that depends only on that coordinate, so each
+leading axis's terms are computed once per node of that axis in the chunk,
+and the last axis's once per search, by the helpers that the functions' own
+layouts use. A node's leading terms are added from 0.0 in index order and
+its last-axis term after them; addition is commutative, so these are
+``np.add.reduce``'s bits. Goldstein-Price, other functions and 8 or more
+axes take the chunk as an ordinary batch.
 """
 
 from __future__ import annotations
@@ -137,25 +139,39 @@ def _in_columns(x: Array) -> bool:
 
 
 class _LatticeChunk(np.ndarray):
-    """An ``(n, k)`` float64 array of lattice nodes, as ``grid_search`` hands
-    it to ``Objective.batch``: ``rows`` runs of n / rows nodes in C order,
-    each run one node of the first k - 1 axes paired with the same n / rows
-    nodes of the last axis. An array made from it, a view or a copy, has
-    ``rows = None`` and is an ordinary batch."""
+    """A read-only ``(n, k)`` float64 array of lattice nodes, as
+    ``grid_search`` hands it to ``Objective.batch``: ``rows`` runs of
+    n / rows nodes in C order, each run one node of the first k - 1 axes
+    paired with the same n / rows nodes of the last axis. ``store`` is a
+    dict that keeps the last axis's terms by terms function. One
+    ``grid_search`` call shares it between its chunks when they are runs of
+    whole rows, which all hold the same last-axis nodes, and gives each
+    chunk its own when they are pieces of one row. An array made from a
+    chunk, a view or a copy, has ``rows = None`` and is an ordinary batch."""
 
     rows = None
+    store = None
 
 
-def _lattice_sum(points: Array, rows: int, terms) -> Array:
+def _lattice_sum(points: Array, rows: int, terms, store: dict) -> Array:
     """The sums of per-axis ``terms`` at the nodes of a lattice chunk of
-    ``rows`` runs. Each axis's terms are computed once per node the chunk
-    holds, and a node's terms are added from 0.0 in index order."""
+    ``rows`` runs. The leading axes' terms are computed once per node the
+    chunk holds, the last axis's only when ``store`` lacks them. A node's sum
+    repeats the sum of its run's leading terms, added from 0.0 in index
+    order, and then adds its last-axis term."""
     k = points.shape[1]
     i = np.arange(1, k + 1, dtype=float)
     block = points.reshape(rows, -1, k)
-    lead = terms(block[:, 0, :-1], i[:-1])
-    total = np.add.reduce(lead, axis=-1)[:, None] + terms(block[0, :, -1], i[-1])
-    return total.reshape(-1)
+    last = store.get(terms)
+    if last is None:
+        last = store[terms] = terms(block[0, :, -1], i[-1])
+    lead = np.add.reduce(terms(block[:, 0, :-1], i[:-1]), axis=-1)
+    # Repeated, then added along each run in place: a contiguous add, where
+    # lead[:, None] + last loops over a stride-0 operand once per run.
+    total = np.repeat(lead, block.shape[1])
+    runs = total.reshape(rows, -1)
+    runs += last
+    return total
 
 
 # Registry functions that add one term per axis: (function, its terms, whether
@@ -172,7 +188,9 @@ class Objective:
     objective evaluates a single point and returns a builtin float;
     ``batch`` maps an (n, k) array of points to an (n,) array of values; on
     a lattice chunk of ``grid_search`` it sums the per-axis terms of
-    ``michalewicz`` and ``sphere`` in place of calling ``fn``.
+    ``michalewicz`` and ``sphere`` in place of calling ``fn``. ``fn`` must
+    not write into its points: the engine and ``grid_search`` pass
+    read-only views, and a write raises ``ValueError``.
     ``init_box`` is the default box, from ``lookup_objective`` a read-only
     ``(k, 2)`` float64 array. Objectives compare and hash by identity.
     """
@@ -194,17 +212,18 @@ class Objective:
         """The ``(n,)`` float64 values of an ``(n, k)`` array of points, from
         one ``fn`` call on the calling thread. A lattice chunk of
         ``grid_search`` for ``michalewicz`` or ``sphere`` with fewer than 8
-        axes is summed from each axis's terms instead, with the same bits
-        (module docstring), and ``fn`` is not called."""
-        rows = points.rows if isinstance(points, _LatticeChunk) else None
+        axes is summed from each axis's terms instead, the last axis's kept
+        in the chunk's ``store``, with the same bits (module docstring), and
+        ``fn`` is not called."""
+        chunk = points if isinstance(points, _LatticeChunk) and points.rows else None
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError(
                 f"{self.name} expects points of shape (n, {self.dimension}), got {points.shape}")
-        if rows and self.dimension < 8:
+        if chunk is not None and self.dimension < 8:
             for fn, terms, negate in _PER_AXIS:
                 if self.fn is fn:
-                    total = _lattice_sum(points, rows, terms)
+                    total = _lattice_sum(points, chunk.rows, terms, chunk.store)
                     return np.negative(total, out=total) if negate else total
         return np.asarray(self.fn(points), dtype=float)
 

@@ -79,10 +79,11 @@ def _minimum(objective: Objective, chunks, nowhere: str) -> tuple[Array, float]:
 def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
     """Minimize over every lattice node; ties go to the lexicographically
     smallest coordinates. Every node goes once through ``objective.batch``,
-    in C-order chunks that are ``_LatticeChunk`` arrays, so ``michalewicz``
-    and ``sphere`` with fewer than 8 axes compute each axis's terms once per
-    chunk node of that axis, with the bits of a plain batch. The point
-    returned is a plain ``np.ndarray``."""
+    in C-order chunks that are read-only ``_LatticeChunk`` views of one
+    buffer, so ``michalewicz`` and ``sphere`` with fewer than 8 axes compute
+    each leading axis's terms once per chunk node of that axis and the last
+    axis's once per call, with the bits of a plain batch. The point returned
+    is a plain ``np.ndarray``."""
     if grid.dimension != objective.dimension:
         raise ValueError(
             f"grid has {grid.dimension} axes but {objective.name} expects {objective.dimension}")
@@ -94,6 +95,11 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
     # row longer than _CHUNK, written into one buffer reused by every chunk.
     rows, width = (_CHUNK // r, r) if r <= _CHUNK else (1, _CHUNK)
     buf = np.empty((min(rows, n_rows) * width, k))
+    # Runs of whole rows share the last axis's column, written once, and the
+    # per-axis sums' last-axis terms, kept in a store of this call.
+    whole, store = width == r, {}
+    if whole:
+        buf.reshape(-1, r, k)[..., -1] = axes[-1]
 
     def chunks():
         # Nodes in C order = lexicographic coordinate order, so the first
@@ -105,11 +111,13 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
                 n_col = min(width, r - col)
                 points = buf[:n_run * n_col]
                 block = points.reshape(n_run, n_col, k)
-                block[..., -1] = axes[-1][col:col + n_col]
+                if not whole:
+                    block[..., -1] = axes[-1][col:col + n_col]
                 for j, index in enumerate(lead):
                     block[..., j] = axes[j][index, None]
                 chunk = points.view(_LatticeChunk)
-                chunk.rows = n_run
+                chunk.flags.writeable = False
+                chunk.rows, chunk.store = n_run, store if whole else {}
                 yield chunk
 
     return _minimum(objective, chunks(), "objective is not finite at any grid node")

@@ -22,7 +22,7 @@ from basopt import (
 )
 from basopt.core import (SearchState, bas_iterate, init_position, run_trials,
                          sample_direction, sample_directions)
-from basopt.objectives import michalewicz
+from basopt.objectives import Objective, michalewicz
 
 
 def reference_run(config: BasConfig, objective, seed: int) -> RunResult:
@@ -234,6 +234,22 @@ def test_scalar_objective_sees_r_l_new_order():
         x = np.array(x_new)
         d, delta = 0.95 * d + 0.01, 0.95 * delta
     assert seen == want
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_an_objective_cannot_write_into_its_points(batched):
+    """Each batch, and each row handed to a callable without ``batch``, is a
+    read-only view: an objective that writes into its points raises, where
+    it would otherwise move the live beetles and their tips."""
+    def scribble(x):
+        x[..., 0] = 0.0
+        return np.add.reduce(x * x, axis=-1)
+
+    box = ((0.0, 1.0),) * 2
+    objective = Objective(name="scribble", dimension=2, fn=scribble, init_box=box)
+    config = BasConfig(dimension=2, init_box=box, max_iters=5)
+    with pytest.raises(ValueError, match="read-only"):
+        list(run_trials(config, objective if batched else scribble, [1, 2, 3]))
 
 
 def test_lowest_failing_trial_is_reported():

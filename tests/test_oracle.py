@@ -206,34 +206,87 @@ _EDGES = {
 _EDGES["mixed"] = st.one_of(*_EDGES.values())
 
 
-@settings(max_examples=300, deadline=None)
+def _plain_argmin(obj, spec):
+    """The first argmin of one plain-array ``batch`` over every node of
+    ``spec``: (point, value), both None when no value is finite."""
+    points = _lattice(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = obj.batch(points)
+    values = np.where(np.isfinite(values), values, np.inf)
+    i = int(np.argmin(values))
+    if not np.isfinite(values[i]):
+        return None, None
+    return points[i], float(values[i])
+
+
+def _assert_plain_argmin(obj, spec, result):
+    """``result``, a ``grid_search`` result or its error, is the first argmin
+    of one plain batch: the same point bytes, a plain ``np.ndarray``, and
+    the same value hex."""
+    want_point, want_value = _plain_argmin(obj, spec)
+    if want_point is None:
+        assert "not finite at any grid node" in str(result)
+    else:
+        point, value = result
+        assert type(point) is np.ndarray
+        assert point.tobytes() == want_point.tobytes()
+        assert value.hex() == want_value.hex()
+
+
+# How chunks fall, one kind per example: any _CHUNK; pieces of one row
+# (_CHUNK below the resolution, k = 1 unless Goldstein-Price), which must
+# neither share the last axis's column nor its terms; a _CHUNK of exactly
+# the resolution, one whole row a chunk; and runs of whole rows with a last
+# chunk of fewer runs (k >= 2).
+_CHUNKINGS = ("any", "pieces", "exact", "ragged")
+
+
+@settings(max_examples=400, deadline=None)
 @given(name=st.sampled_from(["michalewicz", "sphere", "goldstein_price", "hand"]),
-       k=st.one_of(st.integers(1, 8), st.just(8)), data=st.data())
-def test_grid_equals_the_argmin_of_one_plain_batch_bitwise(name, k, data):
-    """On a lattice of at most 5000 nodes, with any chunk size, every chunk's
-    values equal those of the same points as a plain array, bit for bit, the
-    nodes reach ``batch`` once each in C order, and the result is the first
-    argmin of one plain ``batch`` over the whole lattice: the same point
-    bytes, a plain ``np.ndarray``, and the same value hex."""
+       k=st.one_of(st.integers(1, 8), st.just(8)), chunking=st.sampled_from(_CHUNKINGS),
+       data=st.data())
+def test_grid_equals_the_argmin_of_one_plain_batch_bitwise(name, k, chunking, data):
+    """On a lattice of at most about 6600 nodes, with any chunk size, every
+    chunk is read-only and its values equal those of the same points as a
+    plain array, bit for bit, the nodes reach ``batch`` once each in C order,
+    and the result is the first argmin of one plain ``batch`` over the whole
+    lattice."""
     if name == "goldstein_price":
         k = 2
+    elif chunking == "pieces":
+        k = 1
+    elif chunking == "ragged":
+        k = max(k, 2)
     obj = _hand_built(k) if name == "hand" else lookup_objective(name, k)
-    r = data.draw(st.integers(2, max(2, int(5000 ** (1 / k)))), label="resolution")
+    least = 3 if chunking == "ragged" else 2
+    r = data.draw(st.integers(least, max(least, int(5000 ** (1 / k)))), label="resolution")
     kind = _EDGES[data.draw(st.sampled_from(sorted(_EDGES)), label="edges")]
     edges = [sorted(data.draw(st.tuples(kind, kind), label="lo, hi")) for _ in range(k)]
     try:
         spec = GridSpec(box=edges, resolution=r)
     except ValueError:  # (r - 1) * (hi - lo) overflows
         assume(False)
-    chunk = data.draw(st.one_of(st.integers(1, 64), st.sampled_from(
-        [r - 1 or 1, r, r + 1, 3 * r + 2, 1 << 16])), label="_CHUNK")
+    if chunking == "pieces":
+        chunk = data.draw(st.integers(1, r - 1), label="_CHUNK")
+    elif chunking == "exact":
+        chunk = r
+    elif chunking == "ragged":
+        n_rows = r ** (k - 1)
+        runs = data.draw(st.integers(2, n_rows - 1), label="runs per chunk")
+        if n_rows % runs == 0:
+            runs = n_rows - 1
+        chunk = runs * r + data.draw(st.integers(0, r - 1), label="spare nodes")
+    else:
+        chunk = data.draw(st.one_of(st.integers(1, 64), st.sampled_from(
+            [r - 1 or 1, r, r + 1, 3 * r + 2, 1 << 16])), label="_CHUNK")
 
     seen = []
 
     def batch(points):
+        assert not points.flags.writeable
         values = obj.batch(points)
         with np.errstate(over="ignore", invalid="ignore"):
-            plain = obj.batch(np.asarray(points))
+            plain = obj.batch(np.array(points))
         assert values.tobytes() == plain.tobytes()
         seen.append(np.array(points))
         return values
@@ -246,19 +299,44 @@ def test_grid_equals_the_argmin_of_one_plain_batch_bitwise(name, k, data):
         except ValueError as err:
             result = err
 
-    points = _lattice(spec)
-    assert np.concatenate(seen).tobytes() == points.tobytes()
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = obj.batch(points)
-    values = np.where(np.isfinite(values), values, np.inf)
-    i = int(np.argmin(values))
-    if not np.isfinite(values[i]):
-        assert "not finite at any grid node" in str(result)
-    else:
-        point, value = result
-        assert type(point) is np.ndarray
-        assert point.tobytes() == points[i].tobytes()
-        assert value.hex() == float(values[i]).hex()
+    sizes = [len(points) for points in seen]
+    assert max(sizes) <= chunk
+    if chunking == "pieces":
+        assert len(seen) == r ** (k - 1) * -(-r // chunk)
+    elif chunking == "ragged":
+        assert sizes[-1] < sizes[0]
+    assert np.concatenate(seen).tobytes() == _lattice(spec).tobytes()
+    _assert_plain_argmin(obj, spec, result)
+
+
+def test_grid_chunks_share_no_terms_across_searches_or_objectives():
+    """The last axis's terms are kept for one ``grid_search`` call and one
+    per-axis sum: back-to-back searches of one objective on two boxes, then
+    of Michalewicz and sphere on one box, and a search whose objective sums
+    both on every chunk, each give the first argmin of a fresh plain batch."""
+    mich, sph = lookup_objective("michalewicz", 2), lookup_objective("sphere", 2)
+    first, second = GridSpec(((0.0, 3.0),) * 2, 40), GridSpec(((0.5, 2.5),) * 2, 40)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK", 120)  # 14 chunks of 3 rows, the last of 1
+        for obj, spec in ((mich, first), (mich, second), (mich, second), (sph, second)):
+            _assert_plain_argmin(obj, spec, grid_search(obj, spec))
+        both = SimpleNamespace(name="both", dimension=2,
+                               batch=lambda points: mich.batch(points) + sph.batch(points))
+        plain = Objective(name="both", dimension=2, init_box=second.box,
+                          fn=lambda x: mich.batch(x) + sph.batch(x))
+        _assert_plain_argmin(plain, second, grid_search(both, second))
+
+
+def test_an_objective_cannot_write_into_the_grid_chunks():
+    """Every chunk is read-only, so no objective can change the last axis's
+    column that the chunks after it reuse."""
+    def scribble(x):
+        x[:, -1] = 0.0
+        return np.add.reduce(x * x, axis=-1)
+
+    obj = Objective(name="scribble", dimension=2, fn=scribble, init_box=((0.0, 1.0),) * 2)
+    with pytest.raises(ValueError, match="read-only"):
+        grid_search(obj, GridSpec(box=obj.init_box, resolution=5))
 
 
 def test_grid_dimension_mismatch():
