@@ -29,7 +29,8 @@ chunk length enters any trial's arithmetic. ``run`` is its single-trial case.
 
 A block's per-trial set-up is done for the block at once: the generators'
 ``SeedSequence`` hashes on uint32 arrays (``_seed_states``, also behind a
-campaign's ``derive_trial_seeds``), then each generator fills its row of
+campaign's ``derive_trial_seeds``), or ``default_rng`` itself for a block
+that holds a seed of 2^64 or more, then each generator fills its row of
 start points and, per chunk, its slice of directions with
 ``random(out=...)``, and array expressions over the block scale them.
 ``default_rng``, ``derive_trial_seed``, ``init_position`` and
@@ -43,7 +44,6 @@ results carry each seed as a Python ``int``.
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -359,7 +359,10 @@ def init_position(config: BasConfig, rng: np.random.Generator) -> Array:
 
 
 def _evaluate(objective: ObjectiveFn, x: Array) -> float:
-    value = float(objective(x))
+    """``objective`` at a read-only view of ``x``, as the engine hands its points."""
+    view = x.view()
+    view.flags.writeable = False
+    value = float(objective(view))
     if not np.isfinite(value):
         raise ObjectiveError(value, x)
     return value
@@ -372,8 +375,8 @@ def bas_iterate(state: SearchState, objective: ObjectiveFn,
     Order: sample a direction, probe both antennae, step toward the better
     one, evaluate the new position, update the incumbent if it improved,
     then decay ``d`` and ``delta`` and bump ``t``. Costs exactly 3 objective
-    evaluations. If the objective returns a non-finite value the state is
-    left untouched.
+    evaluations. The objective is handed read-only views, as in the engine,
+    and if it returns a non-finite value the state is left untouched.
     """
     b = sample_direction(config.dimension, rng)
     x_r, x_l = antenna_probe(state.x, state.d, b)
@@ -434,6 +437,7 @@ def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     position fails may have had its next two antenna tips evaluated too.
     """
     seeds = [_as_seed(seed) for seed in seeds]
+    record = _as_int(record, "record", 0)
     for block in _blocks(config, len(seeds), record):
         yield from _run_block(config, objective, seeds[block.start:block.stop],
                               len(range(block.start, min(block.stop, record))), block.start)
@@ -667,8 +671,9 @@ def derive_trial_seed(master_seed: int, trial: int) -> int:
 def derive_trial_seeds(master_seed: int, trials: int) -> list:
     """``[derive_trial_seed(master_seed, i) for i in range(trials)]``, as
     Python ints, hashed for all trials at once (``_seed_states``). The master
-    seed must be a non-negative integer."""
-    trials = np.arange(operator.index(trials), dtype=np.uint64)
+    seed must be a non-negative integer, and ``trials`` one of at most
+    ``sys.maxsize``."""
+    trials = np.arange(_as_int(trials, "trials", 0, sys.maxsize), dtype=np.uint64)
     return _seed_states((_as_seed(master_seed),), trials, 1)[:, 0].tolist()
 
 
@@ -682,10 +687,14 @@ def _as_seed(seed) -> int:
 
 def _generators(seeds: Sequence[int]) -> list:
     """``np.random.default_rng(seed)`` for every seed, a non-negative Python
-    int. The PCG64 state words of all the seeds come from one
-    ``_seed_states`` pass."""
-    from numpy.random import PCG64, Generator
+    int. Seeds below 2^64, as every campaign's are, take their PCG64 state
+    words from one ``_seed_states`` pass; a block that holds a wider seed is
+    built by ``default_rng`` itself."""
+    from numpy.random import PCG64, Generator, default_rng
     from numpy.random.bit_generator import ISeedSequence
+
+    if max(seeds, default=0) >> 64:
+        return [default_rng(seed) for seed in seeds]
 
     class StateWords(ISeedSequence):
         """Hands ``PCG64`` the four uint64 words it asks of a ``SeedSequence``."""
@@ -696,7 +705,7 @@ def _generators(seeds: Sequence[int]) -> list:
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    words = _seed_states((), seeds, 4)
+    words = _seed_states((), np.array(seeds, dtype=np.uint64), 4)
     return [Generator(PCG64(StateWords(row))) for row in words]
 
 
@@ -708,46 +717,23 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _seed_states(head: tuple, values, n_words: int) -> Array:
+def _seed_states(head: tuple, values: Array, n_words: int) -> Array:
     """``SeedSequence((*head, v)).generate_state(n_words, np.uint64)`` for
-    every ``v`` in ``values``, as one (len(values), n_words) C-ordered uint64
-    array. ``values`` is a uint64 array or a sequence of non-negative ints,
-    and ``head`` holds non-negative ints.
+    every ``v`` of the uint64 array ``values``, as one (len(values), n_words)
+    C-ordered uint64 array; ``head`` holds non-negative ints of any width.
 
     ``SeedSequence``'s entropy is the little-endian 32-bit words of each int
-    in turn (one word for 0). Values with as many words are hashed together,
-    every step on a uint32 array with one element per value: the hash
-    constants advance the same way whatever the data, so they stay Python
-    ints, and array arithmetic wraps modulo 2^32 as ``SeedSequence``'s does.
-    Values all below 2^64 are split into their low and high words in one
-    array pass (``_narrow_states``); only where an int of 2^64 or more is
-    among them are the values grouped one at a time by their entropy bytes.
+    in turn (one word for 0), so values below 2^32 are hashed as one word and
+    the others as two, each group on uint32 arrays with one element per value
+    and the head's words broadcast: the hash constants advance the same way
+    whatever the data, so they stay Python ints, and array arithmetic wraps
+    modulo 2^32 as ``SeedSequence``'s does.
     """
-    head_bytes = b"".join(map(_entropy_bytes, head))
-    if isinstance(values, np.ndarray) or max(values, default=0) >> 64 == 0:
-        return _narrow_states(head_bytes, np.ascontiguousarray(values, dtype="<u8"), n_words)
-    groups = {}  # entropy length -> (rows, entropy bytes of each row)
-    for row, v in enumerate(values):
-        data = _entropy_bytes(v)
-        rows, entropy = groups.setdefault(len(data), ([], []))
-        rows.append(row)
-        entropy.append(head_bytes + data)
-    out = np.empty((len(values), n_words), dtype=np.uint64)
-    for rows, entropy in groups.values():
-        words = np.frombuffer(b"".join(entropy), dtype="<u4").reshape(len(rows), -1)
-        out[rows] = _states(list(words.T), n_words)
-    return out
-
-
-def _narrow_states(head_bytes: bytes, values: Array, n_words: int) -> Array:
-    """``_seed_states`` of the uint64 array ``values`` after the entropy
-    ``head_bytes``: values below 2^32 are hashed as one word, the others as
-    two, with the head's words broadcast to each group."""
-    lo, hi = values.view("<u4").reshape(-1, 2).T
+    head = np.frombuffer(b"".join(map(_entropy_bytes, head)), "<u4")
+    lo, hi = np.ascontiguousarray(values, dtype="<u8").view("<u4").reshape(-1, 2).T
 
     def hashed(*words):
-        head = [np.broadcast_to(w, len(words[0])) for w in np.frombuffer(head_bytes, "<u4")]
-        return _states(head + list(words), n_words)
+        return _states([np.broadcast_to(w, len(words[0])) for w in head] + list(words), n_words)
 
     two = hi != 0  # values of two words
     if not two.any():

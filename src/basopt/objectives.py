@@ -66,8 +66,7 @@ def michalewicz(x, m: int = 10) -> float | Array:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] < 1:
         raise ValueError("michalewicz needs at least one coordinate")
-    if m < 1:
-        raise ValueError(f"steepness m must be >= 1, got {m}")
+    m = _as_int(m, "m", 1)
     i, axis = np.arange(1, x.shape[-1] + 1, dtype=float), -1
     if _in_columns(x):
         x, i, axis = x.T, i[:, None], 0

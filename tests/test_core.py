@@ -21,7 +21,7 @@ from basopt.core import (
     run_trials,
     sample_direction,
 )
-from basopt.objectives import sphere
+from basopt.objectives import michalewicz, sphere
 
 
 # ---------------------------------------------------------------------------
@@ -529,3 +529,25 @@ def test_block_generators_reject_seeds_as_default_rng_does(seed):
 def test_seed_that_is_not_a_non_negative_integer_is_refused(make):
     with pytest.raises(ValueError, match=f"^{_NOT_A_SEED}, got "):
         make()
+
+
+_POINT = np.array([1.0, 2.0])
+
+
+@pytest.mark.parametrize("name, call", [
+    ("trials", lambda: derive_trial_seeds(0, -1)),
+    ("trials", lambda: derive_trial_seeds(0, 2.0)),
+    ("trials", lambda: derive_trial_seeds(0, 2 ** 63)),
+    ("record", lambda: list(run_trials(BasConfig(dimension=2, x0=_POINT), sphere, [0],
+                                       record=-1))),
+    ("record", lambda: list(run_trials(BasConfig(dimension=2, x0=_POINT), sphere, [0],
+                                       record=1.5))),
+    ("m", lambda: michalewicz(_POINT, 0)),
+    ("m", lambda: michalewicz(_POINT, 1.5)),
+], ids=["trials-negative", "trials-float", "trials-beyond-an-index", "record-negative",
+        "record-float", "m-zero", "m-float"])
+def test_a_count_that_is_not_an_integer_in_range_is_refused(name, call):
+    """The engine's public counts follow one rule: an ``int`` or ``np.integer``
+    within its bounds, or a ``ValueError`` that begins with its name."""
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()

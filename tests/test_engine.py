@@ -216,6 +216,20 @@ def test_results_carry_their_seed():
     assert [r.trajectory.tobytes() for r in got] == [r.trajectory.tobytes() for r in want]
 
 
+def test_seeds_of_2_to_the_64_and_more_run_as_default_rng_seeds_them():
+    """A seed of 2^64 or more has three entropy words, so its block builds
+    every generator with ``default_rng``; ``run`` and a block that mixes it
+    with narrow seeds still equal the reference bit for bit."""
+    obj = lookup_objective("michalewicz", 2)
+    cfg = BasConfig(dimension=2, init_box=obj.init_box, seed=2 ** 64 + 1, stall_iters=10)
+    assert_same_result(run(cfg, obj), reference_run(cfg, obj, 2 ** 64 + 1))
+    seeds = [3, 2 ** 64 + 1, 0]
+    got = list(run_trials(cfg, obj, seeds, record=3))
+    assert len(got) == len(seeds)
+    for result, seed in zip(got, seeds):
+        assert_same_result(result, reference_run(cfg, obj, seed))
+
+
 def test_scalar_objective_sees_r_l_new_order():
     seen = []
 
@@ -236,11 +250,13 @@ def test_scalar_objective_sees_r_l_new_order():
     assert seen == want
 
 
-@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("batched", [True, False, None])
 def test_an_objective_cannot_write_into_its_points(batched):
     """Each batch, and each row handed to a callable without ``batch``, is a
     read-only view: an objective that writes into its points raises, where
-    it would otherwise move the live beetles and their tips."""
+    it would otherwise move the live beetles and their tips. The reference
+    ``bas_iterate`` (``batched=None``) hands its points the same way, and its
+    state stays where it was."""
     def scribble(x):
         x[..., 0] = 0.0
         return np.add.reduce(x * x, axis=-1)
@@ -248,6 +264,13 @@ def test_an_objective_cannot_write_into_its_points(batched):
     box = ((0.0, 1.0),) * 2
     objective = Objective(name="scribble", dimension=2, fn=scribble, init_box=box)
     config = BasConfig(dimension=2, init_box=box, max_iters=5)
+    if batched is None:
+        state = SearchState(t=0, x=np.array([1.0, 1.0]), d=config.d0, delta=config.delta0,
+                            f_x=2.0, x_bst=np.array([1.0, 1.0]), f_bst=2.0, evals=1)
+        with pytest.raises(ValueError, match="read-only"):
+            bas_iterate(state, scribble, np.random.default_rng(1), config)
+        assert (state.t, state.x.tolist(), state.f_x) == (0, [1.0, 1.0], 2.0)
+        return
     with pytest.raises(ValueError, match="read-only"):
         list(run_trials(config, objective if batched else scribble, [1, 2, 3]))
 
