@@ -21,15 +21,15 @@ import sys
 import threading
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (BasConfig, ObjectiveError, RunResult, ScheduleSpec, _as_int, _as_seed,
-                   derive_trial_seeds, run_trials)
+from .core import (TERMINATIONS, BasConfig, ObjectiveError, ScheduleSpec, TrialColumns, _as_int,
+                   _as_seed, _run_blocks, _trial_seeds)
 # Kept importable here; perfbench/tracer.py wraps them.
 from .core import derive_trial_seed, run  # noqa: F401
 from .objectives import lookup_objective, objective_names
@@ -37,6 +37,7 @@ from .oracle import GridSpec, grid_search, random_search_baseline
 
 _TRAJ_MODES = ("all", "first", "none")
 _CSV_VALUES = 1 << 16  # floats that emit_trajectory formats per write
+_SUMMARY_TRIALS = 1 << 12  # trials that emit_summary formats per write
 
 
 class ConfigError(ValueError):
@@ -126,8 +127,12 @@ def _parse_setting(name: str, text: str):
 
 @dataclass(frozen=True)
 class CampaignSummary:
+    """A campaign's outcome. ``trials`` holds one read-only array per
+    per-trial field, with no trajectory rows, and reads as a sequence of
+    ``RunResult`` in trial order, each built when it is read."""
+
     config: dict          # resolved flat config echo (file-key names)
-    trials: tuple         # a RunResult per trial, in order, with no trajectory rows
+    trials: TrialColumns
     best: float
     median: float
     mean: float
@@ -289,22 +294,23 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def emit_trajectory(result: RunResult, path) -> None:
+def emit_trajectory(trajectory: np.ndarray, path) -> None:
     """Write one CSV row per iteration: t, objective at x, best so far, the
     antenna length and step size used, then the coordinates of x. Floats
     are rendered with repr, which round-trips to the identical double.
 
-    The rows are ``result.trajectory`` with ``t`` in front. They are
-    formatted and written in chunks of at most ``_CSV_VALUES`` floats (at
-    least one row), so the writer's memory does not grow with the row count.
+    The rows are those of ``trajectory``, a ``RunResult.trajectory`` or a
+    trial's history rows, with ``t`` in front. They are formatted and
+    written in chunks of at most ``_CSV_VALUES`` floats (at least one row),
+    so the writer's memory does not grow with the row count.
     """
-    rows = result.trajectory
-    step = max(1, _CSV_VALUES // rows.shape[1])
+    width = trajectory.shape[1]
+    step = max(1, _CSV_VALUES // width)
     with open(path, "w", buffering=1 << 16) as f:  # one write call for a file up to 64 KiB
-        f.write("t,f_x,f_bst,d,delta," + ",".join(f"x_{j}" for j in range(len(result.x_bst))))
-        for start in range(0, len(rows), step):
+        f.write("t,f_x,f_bst,d,delta," + ",".join(f"x_{j}" for j in range(width - 4)))
+        for start in range(0, len(trajectory), step):
             f.write("".join([f"\n{t},{','.join(map(repr, row))}" for t, row in
-                             enumerate(rows[start:start + step].tolist(), start + 1)]))
+                             enumerate(trajectory[start:start + step].tolist(), start + 1)]))
         f.write("\n")
 
 
@@ -313,49 +319,55 @@ def emit_summary(summary: CampaignSummary, path) -> None:
 
     Keys are sorted and the wall-clock duration is deliberately left out,
     so identical configs produce byte-identical files. The bytes are those of
-    ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"``:
-    ``config`` and ``aggregate`` go through ``json.dumps``, and the trials,
-    the bulk of the file, through ``_trials_json``.
+    ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"``,
+    and so is the ``ValueError`` for a value that is not finite, raised
+    before the file is opened. ``config`` and ``aggregate`` go through
+    ``json.dumps``; the trials, the bulk of the file, are formatted from the
+    summary's columns by ``_trials_json``, ``_SUMMARY_TRIALS`` at a time.
     """
     head = json.dumps({
         "aggregate": {name: getattr(summary, name)
                       for name in ("best", "median", "mean", "std", "total_evals")},
         "config": summary.config,
     }, indent=2, sort_keys=True, allow_nan=False)
+    trials = summary.trials
+    finite = np.isfinite(trials.f_bst) & np.isfinite(trials.x_bst).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first trial with a value that is not finite
+        value = next(v for v in (trials.f_bst[i], *trials.x_bst[i]) if not math.isfinite(v))
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(value)!r}")
     # "trials" sorts last, so it goes in front of the document's closing brace.
-    Path(path).write_text(f'{head[:-2]},\n  "trials": {_trials_json(summary.trials)}\n}}\n')
+    with open(path, "w") as f:
+        f.write(f'{head[:-2]},\n  "trials": [')
+        for start in range(0, len(trials), _SUMMARY_TRIALS):
+            f.write(",\n    " if start else "\n    ")
+            f.write(_trials_json(trials, range(start, min(start + _SUMMARY_TRIALS, len(trials)))))
+        f.write("\n  ]\n}\n" if len(trials) else "]\n}\n")
 
 
-# One trial of the trials array, as json.dumps indents it two levels deep.
-_TRIAL_JSON = ('{{\n      "evals": {},\n      "f_bst": {},\n      "seed": {},\n'
-               '      "termination": {},\n      "trial": {},\n'
+# One trial of the trials array, as json.dumps indents it two levels deep,
+# once its x_bst fields are filled in.
+_TRIAL_JSON = ('{{\n      "evals": %d,\n      "f_bst": %r,\n      "seed": %d,\n'
+               '      "termination": %s,\n      "trial": %d,\n'
                '      "x_bst": [\n        {}\n      ]\n    }}')
+_TERMINATION_JSON = [json.dumps(name) for name in TERMINATIONS]
 
 
-def _trials_json(trials: Sequence[RunResult]) -> str:
-    """The trials array as ``json.dumps`` writes it two levels deep with
-    ``indent=2, sort_keys=True, allow_nan=False``: floats by ``float.__repr__``,
-    ints by ``int.__repr__``, and the same ``ValueError`` for the first value,
-    in trial order, that is not finite. Each field is formatted for all
-    trials at once, a column of ``x_bst`` at a time."""
-    if not trials:
-        return "[]"
-    f_bst = list(map(float.__repr__, map(attrgetter("f_bst"), trials)))
-    x_bst = [list(map(float.__repr__, column))
-             for column in zip(*map(attrgetter("x_bst"), trials))]
-    if any("n" in "".join(text) for text in (f_bst, *x_bst)):  # "inf" or "nan"
-        for value in (v for t in trials for v in (t.f_bst, *t.x_bst)):
-            if not math.isfinite(value):
-                raise ValueError("Out of range float values are not JSON compliant: "
-                                 + repr(value))
-    items = map(_TRIAL_JSON.format,
-                map(int.__repr__, map(attrgetter("evals"), trials)),
-                f_bst,
-                map(int.__repr__, map(attrgetter("seed"), trials)),
-                map(json.dumps, map(attrgetter("termination"), trials)),
-                map(int.__repr__, range(len(trials))),
-                map(",\n        ".join, zip(*x_bst)))
-    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+def _trials_json(trials: TrialColumns, rows: range) -> str:
+    """The ``rows`` of the trials array, joined as ``json.dumps`` writes them
+    two levels deep with ``indent=2, sort_keys=True``, from finite values:
+    floats by ``float.__repr__`` and ints by ``int.__repr__``, which are
+    ``%r`` and ``%d``. Each trial is one ``%`` of ``_TRIAL_JSON`` with its
+    ``x_bst`` fields, on values read from the columns a column at a time."""
+    part = slice(rows.start, rows.stop)
+    template = _TRIAL_JSON.format(",\n        ".join(["%r"] * trials.x_bst.shape[1]))
+    values = zip((3 * trials.iterations[part] + 1).tolist(),
+                 trials.f_bst[part].tolist(),
+                 np.asarray(trials.seeds[part]).tolist(),
+                 map(_TERMINATION_JSON.__getitem__, trials.termination[part].tolist()),
+                 rows,
+                 *trials.x_bst[part].T.tolist())
+    return ",\n    ".join(map(template.__mod__, values))
 
 
 @contextmanager
@@ -428,38 +440,47 @@ def _spread(f_values: np.ndarray) -> list:
     def stats(v):
         return np.array([np.median(v), v.mean(), v.std()])
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.abs(f_values).max()
         plain = stats(f_values)
+        if np.isfinite(plain).all():
+            return plain.tolist()
+        scale = np.abs(f_values).max()
         return np.where(np.isfinite(plain), plain, scale * stats(f_values / scale)).tolist()
 
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
-    """Run ``trials`` independent seeded searches and write the artifacts."""
+    """Run ``trials`` independent seeded searches and write the artifacts.
+
+    The campaign's state is per block: each block's trial seeds are derived
+    when it starts, its recorded trials' CSVs are written from its history
+    rows, and its columns are copied into the campaign's, which the summary
+    keeps (``8 * (k + 3) + 1`` bytes a trial). No ``RunResult`` is built.
+    """
     objective = lookup_objective(cfg.objective, cfg.dim)
     with _staged(cfg.out_dir) as out_dir:
         started = time.perf_counter()
-        seeds = derive_trial_seeds(cfg.seed, cfg.trials)
-        written = {"all": cfg.trials, "first": 1, "none": 0}[cfg.traj]
-        rowless = np.empty((0, 4 + cfg.dim))  # a written trial's trajectory in the
-        rowless.flags.writeable = False       # summary, so that it keeps no rows alive
-        trials = []
-        for i, result in enumerate(run_trials(cfg.search, objective, seeds, record=written)):
-            if i < written:
-                emit_trajectory(result, out_dir / f"traj_{i:03d}.csv")
-                result = replace(result, trajectory=rowless)
-            trials.append(result)
+        n = cfg.trials
+        columns = {"seeds": np.empty(n, dtype=np.uint64), "x_bst": np.empty((n, cfg.dim)),
+                   "f_bst": np.empty(n), "iterations": np.empty(n, dtype=int),
+                   "termination": np.empty(n, dtype=np.uint8)}
+        written = {"all": n, "first": 1, "none": 0}[cfg.traj]
+        for start, block in _run_blocks(cfg.search, objective, n, written,
+                                        partial(_trial_seeds, cfg.search.seed)):
+            for name, column in columns.items():
+                column[start:start + len(block)] = getattr(block, name)
+            for i, (rows, ran) in enumerate(zip(block.history, block.iterations.tolist())):
+                emit_trajectory(rows[:ran], out_dir / f"traj_{start + i:03d}.csv")
         duration = time.perf_counter() - started
 
-        f_values = np.array([t.f_bst for t in trials])
-        median, mean, std = _spread(f_values)
+        trials = TrialColumns(**columns)
+        median, mean, std = _spread(trials.f_bst)
         summary = CampaignSummary(
             config=config_echo(cfg),
-            trials=tuple(trials),
-            best=float(f_values.min()),
+            trials=trials,
+            best=float(trials.f_bst.min()),
             median=median,
             mean=mean,
             std=std,
-            total_evals=int(sum(t.evals for t in trials)),
+            total_evals=n + 3 * int(trials.iterations.sum()),
             duration_s=duration,
         )
         emit_summary(summary, out_dir / "summary.json")

@@ -11,13 +11,13 @@ Everything is driven by an explicit ``numpy.random.Generator``; a run is a
 pure function of its config (including the seed), which the test suite
 exploits for bit-exact reproducibility checks.
 
-``bas_iterate`` is the single-step reference. ``run_trials`` is the engine
-that executes searches: it moves a block of independent beetles in lockstep
-as one ``(n, k)`` array and reproduces the reference bit for bit (each
-trial keeps its own generator and the same arithmetic). One
-``Objective.batch`` call takes the start points with the first antenna
-tips, then one call per iteration takes the new positions with the next
-tips, or, where a beetle may stop early, one the tips and one the positions.
+``bas_iterate`` is the single-step reference. The engine moves a block of
+independent beetles in lockstep as one ``(n, k)`` array and reproduces the
+reference bit for bit (each trial keeps its own generator and the same
+arithmetic). One ``Objective.batch`` call takes the start points with the
+first antenna tips, then one call per iteration takes the new positions
+with the next tips, or, where a beetle may stop early, one the tips and one
+the positions.
 The block's state is held compacted to its running beetles, so a step works
 on dense arrays; the arrays shrink, and a stopped beetle's result is set
 aside, only on an iteration where some beetle stops or fails.
@@ -25,14 +25,18 @@ A block takes as many consecutive trials as fit a 1 MiB budget for their
 direction chunks, antenna tips and, for the recorded trials (a leading
 count), their full history, allocated one chunk of rows at first and
 doubled only while the search runs on. Neither the block partition nor the
-chunk length enters any trial's arithmetic. ``run`` is its single-trial case.
+chunk length enters any trial's arithmetic. A block hands back its outcomes
+as ``TrialColumns``, one array per field; a campaign keeps those columns,
+and ``run_trials`` reads them as one ``RunResult`` per trial, ``run`` being
+its single-trial case.
 
 A block's per-trial set-up is done for the block at once: the generators'
-``SeedSequence`` hashes on uint32 arrays (``_seed_states``, also behind a
-campaign's ``derive_trial_seeds``), or ``default_rng`` itself for a block
-that holds a seed of 2^64 or more, then each generator fills its row of
-start points and, per chunk, its slice of directions with
-``random(out=...)``, and array expressions over the block scale them.
+``SeedSequence`` hashes on uint32 arrays (``_seed_states``, also behind
+``derive_trial_seeds`` and the seeds a campaign derives per block), or
+``default_rng`` itself for a block that holds a seed of 2^64 or more, then
+each generator fills its row of start points and, per chunk, its slice of
+directions with ``random(out=...)``, and array expressions over the block
+scale them.
 ``default_rng``, ``derive_trial_seed``, ``init_position`` and
 ``sample_direction`` are the references these reproduce bit for bit.
 
@@ -45,8 +49,9 @@ results carry each seed as a Python ``int``.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -57,6 +62,9 @@ ObjectiveFn = Callable[[Array], float]
 TERM_MAX_ITERS = "max_iters"
 TERM_TARGET = "target_reached"
 TERM_STALLED = "stalled"
+# The reasons by the codes that TrialColumns.termination holds.
+TERMINATIONS = (TERM_MAX_ITERS, TERM_TARGET, TERM_STALLED)
+_REACHED, _STALLED = 1, 2  # TERMINATIONS.index of TERM_TARGET and TERM_STALLED
 
 _MIN_DIRECTION_NORM = 1e-12
 
@@ -240,7 +248,7 @@ class RunResult:
     at the new position, the best value so far, the antenna length and step
     size the iteration used, then the new position. A trial whose history
     was not recorded has an empty ``(0, 4 + k)`` trajectory. ``seed`` is the
-    seed the search ran with. Slotted, as a campaign summary keeps one per trial.
+    seed the search ran with. Slotted, as ``run_trials`` builds one per trial.
     """
 
     trajectory: Array
@@ -256,6 +264,55 @@ class RunResult:
         return (np.array_equal(self.trajectory, other.trajectory)
                 and (self.x_bst, self.f_bst, self.evals, self.termination, self.seed)
                 == (other.x_bst, other.f_bst, other.evals, other.termination, other.seed))
+
+
+@dataclass(frozen=True, eq=False)
+class TrialColumns(Sequence):
+    """Outcomes of consecutive trials, one column per field, read as a
+    sequence of ``RunResult`` that are built on access.
+
+    ``seeds`` holds each trial's seed (a uint64 array, or ints where a seed
+    is 2^64 or more), ``x_bst`` the best points as an ``(n, k)`` array,
+    ``f_bst`` their values, ``iterations`` the iterations each trial ran, and
+    ``termination`` the index of its reason in ``TERMINATIONS``. ``history``,
+    when given, holds the trajectory rows of the leading trials: those of
+    trial ``i`` are ``history[i, :iterations[i]]``. A trial's ``evals`` are
+    ``1 + 3 * iterations``, and a trial without history gets an empty
+    trajectory. Each result owns its arrays, so none keeps the columns alive.
+    The columns are made read-only.
+    """
+
+    seeds: Sequence[int]
+    x_bst: Array
+    f_bst: Array
+    iterations: Array
+    termination: Array
+    history: Optional[Array] = None
+
+    def __post_init__(self):
+        for column in (self.seeds, self.x_bst, self.f_bst, self.iterations, self.termination,
+                       self.history):
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.f_bst)
+
+    def __getitem__(self, index):
+        i = range(len(self))[index]
+        if isinstance(i, range):
+            return tuple(map(self.__getitem__, i))
+        if self.history is not None and i < len(self.history):
+            trajectory = self.history[i, :self.iterations[i]].copy()
+        else:
+            trajectory = np.empty((0, 4 + self.x_bst.shape[1]))
+        trajectory.flags.writeable = False
+        return RunResult(trajectory=trajectory,
+                         x_bst=tuple(self.x_bst[i].tolist()),
+                         f_bst=float(self.f_bst[i]),
+                         evals=1 + 3 * int(self.iterations[i]),
+                         termination=TERMINATIONS[self.termination[i]],
+                         seed=int(self.seeds[i]))
 
 
 def sample_direction(k: int, rng: np.random.Generator) -> Array:
@@ -429,18 +486,34 @@ def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     (the config's own seed is not used). The first ``record`` trials carry
     their trajectory; the others get an empty one. Trials move in lockstep
     blocks of consecutive seeds (``_blocks``), and each block's results are
-    yielded when the block finishes. If an objective value is not finite,
-    the results before the lowest failing trial are yielded and then its
-    ``ObjectiveError`` is raised, with ``trial`` set to its position and
-    ``seed`` to its seed. The objective sees the points that ``run`` would
-    evaluate for each trial, except that a trial whose start or new
-    position fails may have had its next two antenna tips evaluated too.
+    read from its ``TrialColumns`` and yielded when the block finishes. If an
+    objective value is not finite, the results before the lowest failing
+    trial are yielded and then its ``ObjectiveError`` is raised, with
+    ``trial`` set to its position and ``seed`` to its seed. The objective
+    sees the points that ``run`` would evaluate for each trial, except that
+    a trial whose start or new position fails may have had its next two
+    antenna tips evaluated too.
     """
     seeds = [_as_seed(seed) for seed in seeds]
     record = _as_int(record, "record", 0)
-    for block in _blocks(config, len(seeds), record):
-        yield from _run_block(config, objective, seeds[block.start:block.stop],
-                              len(range(block.start, min(block.stop, record))), block.start)
+    for _, columns in _run_blocks(config, objective, len(seeds), record,
+                                  lambda block: seeds[block.start:block.stop]):
+        yield from columns
+
+
+def _run_blocks(config: BasConfig, objective: ObjectiveFn, n: int, record: int,
+                block_seeds: Callable[[range], Sequence[int]]) -> Iterator[tuple]:
+    """Run ``n`` trials, the first ``record`` recorded, block by block, and
+    yield each block's first trial and its ``TrialColumns``. A block's seeds
+    are ``block_seeds(block)``, asked for when the block starts. If a trial
+    fails, the columns of its block's trials before it are yielded, then its
+    ``ObjectiveError`` is raised."""
+    for block in _blocks(config, n, record):
+        columns, error = _run_block(config, objective, block_seeds(block),
+                                    len(range(block.start, min(block.stop, record))), block.start)
+        yield block.start, columns
+        if error is not None:
+            raise error
 
 
 def _blocks(config: BasConfig, n: int, record: int) -> Iterator[range]:
@@ -481,8 +554,12 @@ def _start_points(config: BasConfig, rngs: Sequence[np.random.Generator]) -> Arr
 
 
 def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
-               n_keep: int, first: int) -> Iterator[RunResult]:
-    """``run_trials`` for one block, on the running trials only.
+               n_keep: int, first: int) -> tuple:
+    """Run the trials of ``seeds``, a block that starts at trial ``first``,
+    on the running trials only, and return ``(columns, error)``: the
+    block's ``TrialColumns``, whose history holds its first ``n_keep``
+    trials, and ``None``; or, if a trial fails, the columns of the trials
+    before the lowest failing one and that trial's ``ObjectiveError``.
 
     The live state is compacted: position ``i`` of ``x``, ``x_bst``,
     ``f_bst``, ``stall`` and ``place`` belongs to block row ``rows[i]``.
@@ -491,7 +568,7 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     follows its reference trajectory exactly. Only on an iteration where
     some row stops or fails is the state compacted, and a stopped row's
     incumbent, iteration count and termination written to the block's
-    outputs. Block rows ``0 .. n_keep - 1`` store history; compaction keeps
+    columns. Block rows ``0 .. n_keep - 1`` store history; compaction keeps
     ``rows`` sorted, so the live ones are ``rows[:kept]``.
 
     A new position depends only on the antenna readings, so the tips of the
@@ -518,10 +595,10 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     points = np.empty((3 * n, k))
     # hist holds the first chunk's rows and doubles when the search outruns it.
     hist = np.empty((n_keep, chunk, 4 + k))
-    # The block's outputs, by block row, written as rows stop.
+    # The block's columns, by block row, written as rows stop.
     best_x, best_f = np.empty((n, k)), np.empty(n)
     ran = np.zeros(n, dtype=int)
-    termination = [TERM_MAX_ITERS] * n
+    termination = np.zeros(n, dtype=np.uint8)  # TERM_MAX_ITERS until a row stops
     failures = {}
 
     rows = np.arange(n)
@@ -618,30 +695,19 @@ def _run_block(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
             if stop.any():
                 done = rows[stop]
                 best_x[done], best_f[done], ran[done] = x_bst[stop], f_bst[stop], t + 1
-                for row, hit in zip(done.tolist(), reached[stop].tolist()):
-                    termination[row] = TERM_TARGET if hit else TERM_STALLED
+                termination[done] = np.where(reached[stop], _REACHED, _STALLED)
                 retain(~stop)
     best_x[rows], best_f[rows], ran[rows] = x_bst, f_bst, config.max_iters
 
     lowest = min(failures, default=n)
-    unrecorded = np.empty((0, 4 + k))
-    unrecorded.flags.writeable = False
-    best_x, best_f, ran = best_x.tolist(), best_f.tolist(), ran.tolist()
-    for row in range(lowest):
-        trajectory = unrecorded
-        if row < n_keep:
-            # a copy, so that no result keeps the block's history alive
-            trajectory = hist[row, :ran[row]].copy()
-            trajectory.flags.writeable = False
-        yield RunResult(trajectory=trajectory,
-                        x_bst=tuple(best_x[row]),
-                        f_bst=best_f[row],
-                        evals=1 + 3 * ran[row],
-                        termination=termination[row],
-                        seed=seeds[row])
+    error = None
     if failures:
         value, point, t = failures[lowest]
-        raise ObjectiveError(value, point, t, trial=first + lowest, seed=seeds[lowest])
+        error = ObjectiveError(value, point, t, trial=first + lowest, seed=int(seeds[lowest]))
+    columns = TrialColumns(seeds=seeds[:lowest], x_bst=best_x[:lowest], f_bst=best_f[:lowest],
+                           iterations=ran[:lowest], termination=termination[:lowest],
+                           history=hist[:lowest])
+    return columns, error
 
 
 def run(config: BasConfig, objective: ObjectiveFn) -> RunResult:
@@ -673,8 +739,15 @@ def derive_trial_seeds(master_seed: int, trials: int) -> list:
     Python ints, hashed for all trials at once (``_seed_states``). The master
     seed must be a non-negative integer, and ``trials`` one of at most
     ``sys.maxsize``."""
-    trials = np.arange(_as_int(trials, "trials", 0, sys.maxsize), dtype=np.uint64)
-    return _seed_states((_as_seed(master_seed),), trials, 1)[:, 0].tolist()
+    trials = range(_as_int(trials, "trials", 0, sys.maxsize))
+    return _trial_seeds(_as_seed(master_seed), trials).tolist()
+
+
+def _trial_seeds(master_seed: int, trials: range) -> Array:
+    """``derive_trial_seed(master_seed, i)`` for every ``i`` in ``trials``, a
+    range of step 1, as a uint64 array; ``master_seed`` is a Python int."""
+    trials = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    return _seed_states((master_seed,), trials, 1)[:, 0]
 
 
 def _as_seed(seed) -> int:
@@ -686,14 +759,14 @@ def _as_seed(seed) -> int:
 
 
 def _generators(seeds: Sequence[int]) -> list:
-    """``np.random.default_rng(seed)`` for every seed, a non-negative Python
-    int. Seeds below 2^64, as every campaign's are, take their PCG64 state
-    words from one ``_seed_states`` pass; a block that holds a wider seed is
-    built by ``default_rng`` itself."""
+    """``np.random.default_rng(seed)`` for every seed: a uint64 array, as a
+    campaign's block has, or non-negative Python ints. Seeds below 2^64 take
+    their PCG64 state words from one ``_seed_states`` pass; a block that
+    holds a wider seed is built by ``default_rng`` itself."""
     from numpy.random import PCG64, Generator, default_rng
     from numpy.random.bit_generator import ISeedSequence
 
-    if max(seeds, default=0) >> 64:
+    if not isinstance(seeds, np.ndarray) and max(seeds, default=0) >> 64:
         return [default_rng(seed) for seed in seeds]
 
     class StateWords(ISeedSequence):
@@ -705,7 +778,7 @@ def _generators(seeds: Sequence[int]) -> list:
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    words = _seed_states((), np.array(seeds, dtype=np.uint64), 4)
+    words = _seed_states((), np.asarray(seeds, dtype=np.uint64), 4)
     return [Generator(PCG64(StateWords(row))) for row in words]
 
 
@@ -727,7 +800,7 @@ def _seed_states(head: tuple, values: Array, n_words: int) -> Array:
     the others as two, each group on uint32 arrays with one element per value
     and the head's words broadcast: the hash constants advance the same way
     whatever the data, so they stay Python ints, and array arithmetic wraps
-    modulo 2^32 as ``SeedSequence``'s does.
+    modulo 2^32 as ``SeedSequence``'s does. Only a non-empty group is hashed.
     """
     head = np.frombuffer(b"".join(map(_entropy_bytes, head)), "<u4")
     lo, hi = np.ascontiguousarray(values, dtype="<u8").view("<u4").reshape(-1, 2).T
@@ -738,6 +811,8 @@ def _seed_states(head: tuple, values: Array, n_words: int) -> Array:
     two = hi != 0  # values of two words
     if not two.any():
         return hashed(lo)
+    if two.all():
+        return hashed(lo, hi)
     out = np.empty((len(values), n_words), dtype=np.uint64)
     out[~two] = hashed(lo[~two])
     out[two] = hashed(lo[two], hi[two])

@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import basopt
-from basopt import cli, objectives
+from basopt import cli, core, objectives
 from basopt import BasConfig, ObjectiveError, RunResult, derive_trial_seed, lookup_objective, run
+from basopt.core import TERMINATIONS, TrialColumns, derive_trial_seeds, run_trials
 from basopt.cli import (
     CampaignSummary,
     ConfigError,
@@ -357,7 +358,7 @@ def test_each_trial_reproducible_in_isolation(tmp_path):
 
 
 def test_summary_trials_are_run_results_without_rows(tmp_path):
-    """The summary holds each trial's RunResult with its seed, and an empty
+    """The summary's trials read as RunResults with their seeds and an empty
     trajectory that is no view of the rows, so no trajectory stays alive."""
     summary = run_campaign(_cfg(tmp_path, objective="michalewicz", dim=3, trials=3,
                                 seed=4, traj="all"))
@@ -443,6 +444,89 @@ def test_campaign_peak_memory_stays_below_the_whole_square_of_directions(tmp_pat
     assert peak <= 977 << 10
 
 
+def _fields(result: RunResult) -> str:
+    """A result's fields but its trajectory, in text that tells -0.0 from 0.0."""
+    return repr((result.x_bst, result.f_bst, result.evals, result.termination, result.seed))
+
+
+@pytest.mark.parametrize("traj", ["all", "first", "none"])
+@pytest.mark.parametrize("stop", [[], ["--stall", "5"], ["--target", "-1.5"]],
+                         ids=["plain", "stall", "target"])
+def test_a_campaign_across_blocks_is_run_trials_on_its_seeds(tmp_path, monkeypatch, stop, traj):
+    """A campaign of many blocks, each deriving its own seeds, holds the
+    results of ``run_trials`` on all the campaign's seeds at once, and each
+    written CSV is that trial's trajectory."""
+    blocks = []
+    run_block = core._run_block
+
+    def counted(*args):
+        blocks.append(len(args[2]))
+        return run_block(*args)
+
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)
+    monkeypatch.setattr(core, "_run_block", counted)
+    cfg = parse_config(["--objective", "michalewicz", "--iters", "30", "--trials", "40",
+                        "--seed", "9", "--traj", traj, "--out-dir", str(tmp_path / "run")] + stop)
+    summary = run_campaign(cfg)
+    assert len(blocks) >= 4 and sum(blocks) == cfg.trials
+    written = {"all": 40, "first": 1, "none": 0}[traj]
+    objective = lookup_objective("michalewicz", 2)
+    want = list(run_trials(cfg.search, objective, derive_trial_seeds(cfg.seed, cfg.trials),
+                           record=written))
+    assert len(summary.trials) == len(want)
+    assert list(map(_fields, summary.trials)) == list(map(_fields, want))
+    if stop:
+        assert any(result.termination != "max_iters" for result in want)
+    assert len(list((tmp_path / "run").glob("traj_*.csv"))) == written
+    for i, result in enumerate(want[:written]):
+        emit_trajectory(result.trajectory, tmp_path / "want.csv")
+        name = f"traj_{i:03d}.csv"
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_a_campaign_that_fails_in_its_second_block_leaves_the_out_dir_as_it_was(
+        tmp_path, monkeypatch):
+    """The first block's CSVs and trials were staged when the second block's
+    objective fails: the error is the trial's, and the out-dir holds the
+    files it held before, with the same bytes, and nothing else."""
+    out_dir = tmp_path / "out"
+    run_campaign(_cfg(out_dir, objective="sphere", trials=2, iters=5, traj="all"))
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    firsts = []
+    run_block = core._run_block
+
+    def second_fails(config, objective, seeds, n_keep, first):
+        firsts.append(first)
+        if len(firsts) == 2:
+            objective = lambda x: np.nan  # noqa: E731
+        return run_block(config, objective, seeds, n_keep, first)
+
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)
+    monkeypatch.setattr(core, "_run_block", second_fails)
+    cfg = _cfg(out_dir, objective="michalewicz", trials=20, iters=30, traj="all")
+    with pytest.raises(ObjectiveError) as exc:
+        run_campaign(cfg)
+    assert firsts[0] == 0 < firsts[1] == exc.value.trial
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
+def test_campaign_memory_grows_by_its_columns_alone(tmp_path):
+    """A campaign keeps per-block state: its ``tracemalloc`` peak at 100,000
+    trials is at most the 10,000-trial peak, plus ``8 * (k + 4)`` bytes per
+    extra trial for the summary's columns, plus 1 MiB. Keeping a seed, a
+    ``RunResult`` and a line of JSON text per trial took about 1.0 KB each."""
+    peaks = []
+    for trials in (10_000, 100_000):
+        cfg = _cfg(tmp_path, objective="sphere", dim=2, iters=10, trials=trials, traj="none")
+        tracemalloc.start()
+        try:
+            run_campaign(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 90_000 * 8 * (2 + 4) + (1 << 20), peaks
+
+
 @pytest.mark.parametrize("mode,expected", [("all", 3), ("first", 1), ("none", 0)])
 def test_trajectory_modes(tmp_path, mode, expected):
     run_campaign(_cfg(tmp_path, objective="sphere", trials=3, traj=mode))
@@ -523,7 +607,7 @@ def test_emit_trajectory_matches_the_per_field_writer(trajectories):
             legacy_emit_trajectory(result, old)
             for values in (cli._CSV_VALUES, 4, 40):
                 with mock.patch.object(cli, "_CSV_VALUES", values):
-                    emit_trajectory(result, new)
+                    emit_trajectory(result.trajectory, new)
                 assert new.read_bytes() == old.read_bytes()
 
 
@@ -535,11 +619,9 @@ def test_emit_trajectory_peak_does_not_grow_with_the_rows(tmp_path):
     peaks = []
     for rows in (100, 400):
         trajectory = rng.standard_normal((rows, 4 + 1000))
-        result = RunResult(trajectory=trajectory, x_bst=(0.0,) * 1000, f_bst=0.0,
-                           evals=1 + 3 * rows, termination="max_iters", seed=0)
         tracemalloc.start()
         try:
-            emit_trajectory(result, tmp_path / "traj.csv")
+            emit_trajectory(trajectory, tmp_path / "traj.csv")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -598,13 +680,15 @@ def test_summary_writer_matches_json_dumps(k, n, data):
                              max_size=2))
     for trial, position, value in bad:  # position 0 is f_bst, the others x_bst
         values[trial][position] = value
-    trials = tuple(
-        RunResult(trajectory=np.empty((0, 4 + k)), x_bst=tuple(v[1:]), f_bst=v[0],
-                  evals=data.draw(st.integers(1, 10 ** 12)),
-                  termination=data.draw(st.sampled_from(
-                      [basopt.TERM_MAX_ITERS, basopt.TERM_TARGET, basopt.TERM_STALLED])),
-                  seed=data.draw(st.integers(0, 2 ** 64 - 1)))
-        for v in values)
+    values = np.array(values)
+    trials = TrialColumns(
+        seeds=np.array(data.draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=n, max_size=n)),
+                       dtype=np.uint64),
+        x_bst=values[:, 1:], f_bst=values[:, 0],
+        iterations=np.array(data.draw(st.lists(st.integers(0, 10 ** 12), min_size=n,
+                                               max_size=n))),
+        termination=np.array(data.draw(st.lists(st.integers(0, len(TERMINATIONS) - 1),
+                                                min_size=n, max_size=n)), dtype=np.uint8))
     best, median, mean, std = data.draw(st.lists(_JSON_FLOATS, min_size=4, max_size=4))
     summary = CampaignSummary(
         config=config_echo(ExperimentConfig(objective="sphere", dim=k)), trials=trials,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import basopt.core as core
 from basopt import BasConfig, ObjectiveError, ScheduleSpec, derive_trial_seed, run
 from basopt.core import (
     SearchState,
@@ -488,6 +489,23 @@ _SEEDS = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1
 def test_block_generators_equal_default_rng(seeds):
     for seed, rng in zip(seeds, _generators(seeds)):
         assert rng.random(64).tobytes() == np.random.default_rng(seed).random(64).tobytes()
+
+
+@pytest.mark.parametrize("values, passes", [
+    ([2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1], 1),
+    ([0, 1, 2 ** 32 - 1], 1),
+    ([2 ** 32 - 1, 2 ** 32, 5, 2 ** 63], 2),
+], ids=["all-two-word", "all-one-word", "mixed"])
+def test_seed_states_hash_only_the_groups_that_hold_values(monkeypatch, values, passes):
+    """Values of one and of two entropy words are hashed in a pass per group,
+    and an empty group is not hashed; every row is ``SeedSequence``'s state."""
+    calls = []
+    states = core._states
+    monkeypatch.setattr(core, "_states", lambda *args: calls.append(1) or states(*args))
+    got = core._seed_states((), np.array(values, dtype=np.uint64), 4)
+    assert len(calls) == passes
+    for v, row in zip(values, got):
+        assert row.tobytes() == np.random.SeedSequence(v).generate_state(4, np.uint64).tobytes()
 
 
 def test_a_million_trial_seeds_peak_below_96_mib():
