@@ -407,7 +407,8 @@ def _staged(out_dir: str):
     parent it created. A move removes each ``traj_<digits>.csv`` it did not
     bring. An ``OSError`` becomes a ``ConfigError`` naming out-dir. The
     staging directory is named before it is made, so that an exception
-    raised anywhere, such as by a signal, still finds it to remove."""
+    raised anywhere, such as by a signal, still finds it to remove with its
+    contents; after the moves it is empty, and ``os.rmdir`` removes it."""
     target = Path(out_dir)
     missing = [path for path in (target, *target.parents) if not path.exists()]
     staging = target / f".basopt-{os.urandom(8).hex()}"
@@ -419,6 +420,7 @@ def _staged(out_dir: str):
             staged = set(os.listdir(staging))
             for name in staged:
                 os.replace(staging / name, target / name)
+            os.rmdir(staging)
             for name in os.listdir(target):
                 if re.fullmatch(r"traj_[0-9]+\.csv", name) and name not in staged:
                     os.remove(target / name)
@@ -454,6 +456,8 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     when it starts, its recorded trials' CSVs are written from its history
     rows, and its columns are copied into the campaign's, which the summary
     keeps (``8 * (k + 3) + 1`` bytes a trial). No ``RunResult`` is built.
+    One block's arrays are resident at a time: a block's columns and
+    history are dropped before the next block runs.
     """
     objective = lookup_objective(cfg.objective, cfg.dim)
     with _staged(cfg.out_dir) as out_dir:
@@ -467,8 +471,9 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
                                         partial(_trial_seeds, cfg.search.seed)):
             for name, column in columns.items():
                 column[start:start + len(block)] = getattr(block, name)
-            for i, (rows, ran) in enumerate(zip(block.history, block.iterations.tolist())):
-                emit_trajectory(rows[:ran], out_dir / f"traj_{start + i:03d}.csv")
+            for i, ran in enumerate(block.iterations[:len(block.history)].tolist()):
+                emit_trajectory(block.history[i, :ran], out_dir / f"traj_{start + i:03d}.csv")
+            del block
         duration = time.perf_counter() - started
 
         trials = TrialColumns(**columns)

@@ -486,7 +486,8 @@ def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     (the config's own seed is not used). The first ``record`` trials carry
     their trajectory; the others get an empty one. Trials move in lockstep
     blocks of consecutive seeds (``_blocks``), and each block's results are
-    read from its ``TrialColumns`` and yielded when the block finishes. If an
+    read from its ``TrialColumns`` and yielded when the block finishes; the
+    block's columns are dropped before the next block starts. If an
     objective value is not finite, the results before the lowest failing
     trial are yielded and then its ``ObjectiveError`` is raised, with
     ``trial`` set to its position and ``seed`` to its seed. The objective
@@ -499,19 +500,23 @@ def run_trials(config: BasConfig, objective: ObjectiveFn, seeds: Sequence[int],
     for _, columns in _run_blocks(config, objective, len(seeds), record,
                                   lambda block: seeds[block.start:block.stop]):
         yield from columns
+        del columns
 
 
 def _run_blocks(config: BasConfig, objective: ObjectiveFn, n: int, record: int,
                 block_seeds: Callable[[range], Sequence[int]]) -> Iterator[tuple]:
     """Run ``n`` trials, the first ``record`` recorded, block by block, and
     yield each block's first trial and its ``TrialColumns``. A block's seeds
-    are ``block_seeds(block)``, asked for when the block starts. If a trial
-    fails, the columns of its block's trials before it are yielded, then its
-    ``ObjectiveError`` is raised."""
+    are ``block_seeds(block)``, asked for when the block starts. One block
+    is resident: the generator drops a block's columns before it runs the
+    next, so a caller that drops them too holds one block's arrays at a
+    time. If a trial fails, the columns of its block's trials before it are
+    yielded, then its ``ObjectiveError`` is raised."""
     for block in _blocks(config, n, record):
         columns, error = _run_block(config, objective, block_seeds(block),
                                     len(range(block.start, min(block.stop, record))), block.start)
         yield block.start, columns
+        del columns
         if error is not None:
             raise error
 
@@ -799,8 +804,9 @@ def _seed_states(head: tuple, values: Array, n_words: int) -> Array:
     in turn (one word for 0), so values below 2^32 are hashed as one word and
     the others as two, each group on uint32 arrays with one element per value
     and the head's words broadcast: the hash constants advance the same way
-    whatever the data, so they stay Python ints, and array arithmetic wraps
-    modulo 2^32 as ``SeedSequence``'s does. Only a non-empty group is hashed.
+    whatever the data, so each step takes them as a uint32 column, and array
+    arithmetic wraps modulo 2^32 as ``SeedSequence``'s does. Only a
+    non-empty group is hashed.
     """
     head = np.frombuffer(b"".join(map(_entropy_bytes, head)), "<u4")
     lo, hi = np.ascontiguousarray(values, dtype="<u8").view("<u4").reshape(-1, 2).T
@@ -833,28 +839,43 @@ def _entropy_bytes(value: int) -> bytes:
     return value.to_bytes(4 * max(1, -(-value.bit_length() // 32)), "little")
 
 
-def _mix_entropy(entropy: list) -> list:
-    """``SeedSequence.mix_entropy``: the 4-word pool of every column of the
-    entropy words (a list of equal-length uint32 arrays)."""
-    hash_const = _INIT_A
+def _hash_constants(init: int, mult: int, count: int) -> Array:
+    """The hash constant before each of ``count`` steps and after the last,
+    ``init * mult ** i`` modulo 2^32, as a ``(count + 1, 1)`` uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value *= hash_const
+
+def _mix_entropy(entropy: list) -> Array:
+    """``SeedSequence.mix_entropy``: the 4-word pool of every column of the
+    entropy words (a list of equal-length uint32 arrays), as a
+    ``(4, columns)`` uint32 array. Each step's ``hashmix`` calls, which
+    take consecutive constants, are one array with a row per call and the
+    constants as a column: the first four words, then in each source round
+    the source word once per other pool word, then each further word once
+    per pool word."""
+    first, extra = entropy[:_POOL_SIZE], entropy[_POOL_SIZE:]
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(extra)))
+    used = 0
+
+    def hashmix(value, count):
+        nonlocal used
+        value = value ^ consts[used:used + count]
+        value *= consts[used + 1:used + 1 + count]
         value ^= value >> 16
+        used += count
         return value
 
-    zeros = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    pool = np.zeros((_POOL_SIZE, len(first[0])), dtype=np.uint32)
+    pool[:len(first)] = first
+    pool = hashmix(pool, _POOL_SIZE)
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[src], len(dst)))
+    for word in extra:
+        pool = _mix(pool, hashmix(word, _POOL_SIZE))
     return pool
 
 
@@ -865,14 +886,12 @@ def _mix(x: Array, y: Array) -> Array:
     return result
 
 
-def _generate_state(pool: list, n_words: int) -> Array:
+def _generate_state(pool: Array, n_words: int) -> Array:
     """``SeedSequence.generate_state(n_words, np.uint32)`` of every column of
-    the pool, as an (n_words, columns) uint32 array."""
-    out = np.empty((n_words, len(pool[0])), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i, word in enumerate(out):
-        np.bitwise_xor(pool[i % _POOL_SIZE], hash_const, out=word)
-        hash_const = hash_const * _MULT_B & _MASK32
-        word *= hash_const
-        word ^= word >> 16
+    the pool, as an (n_words, columns) uint32 array: word ``i`` hashes pool
+    row ``i % 4`` with the ``i``-th constant."""
+    consts = _hash_constants(_INIT_B, _MULT_B, n_words)
+    out = pool[np.arange(n_words) % _POOL_SIZE] ^ consts[:-1]
+    out *= consts[1:]
+    out ^= out >> 16
     return out

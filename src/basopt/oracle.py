@@ -58,7 +58,9 @@ def _axis(lo: float, hi: float, resolution: int) -> Array:
 def _minimum(objective: Objective, chunks, nowhere: str) -> tuple[Array, float]:
     """The first smallest finite value of ``objective`` over the points of
     ``chunks``, an iterable of ``(n, k)`` arrays, and a copy of its point;
-    ``ValueError(nowhere)`` when no value is finite."""
+    ``ValueError(nowhere)`` when no value is finite. One chunk is in flight:
+    each chunk and its values are freed before the next chunk is asked for,
+    so the next chunk and its values can reuse their memory."""
     best_point, best_value = None, np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for points in chunks:
@@ -71,6 +73,7 @@ def _minimum(objective: Objective, chunks, nowhere: str) -> tuple[Array, float]:
                 i = int(np.argmin(values))
             if values[i] < best_value:
                 best_point, best_value = np.array(points[i]), float(values[i])
+            del points, values
     if best_point is None:
         raise ValueError(nowhere)
     return best_point, best_value

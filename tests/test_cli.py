@@ -12,6 +12,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -508,6 +509,32 @@ def test_a_campaign_that_fails_in_its_second_block_leaves_the_out_dir_as_it_was(
         run_campaign(cfg)
     assert firsts[0] == 0 < firsts[1] == exc.value.trial
     assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("caller", ["run_campaign", "run_trials"])
+def test_one_block_is_resident_at_a_time(tmp_path, monkeypatch, caller):
+    """When a block starts, the ``TrialColumns`` of the block before it are
+    dead: neither the engine's block loop nor its caller, a ``--traj all``
+    campaign or a loop over ``run_trials``, still holds them."""
+    columns = []
+    run_block = core._run_block
+
+    def resident(*args):
+        assert all(ref() is None for ref in columns), "an earlier block is alive"
+        result = run_block(*args)
+        columns.append(weakref.ref(result[0]))
+        return result
+
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)
+    monkeypatch.setattr(core, "_run_block", resident)
+    cfg = _cfg(tmp_path, objective="michalewicz", iters=30, trials=40, traj="all")
+    if caller == "run_campaign":
+        run_campaign(cfg)
+    else:
+        objective = lookup_objective("michalewicz", 2)
+        for _ in run_trials(cfg.search, objective, range(cfg.trials), record=cfg.trials):
+            pass
+    assert len(columns) >= 4
 
 
 def test_campaign_memory_grows_by_its_columns_alone(tmp_path):

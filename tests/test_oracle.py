@@ -1,6 +1,8 @@
 """Tests for the exhaustive grid oracle and the random-search baseline."""
 
 import itertools
+import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -393,6 +395,69 @@ def test_no_finite_value_is_an_error():
         grid_search(obj, GridSpec(box=box, resolution=10))
     with pytest.raises(ValueError, match="not finite at any sample"):
         random_search_baseline(obj, box, 10, np.random.default_rng(0))
+
+
+class _OneChunkInFlight:
+    """``obj`` as the oracles use it, and ``rng``'s ``uniform``, keeping a
+    weak reference to each chunk drawn or handed to ``batch`` and to each
+    array ``batch`` returns. Each draw and each call asserts that every
+    earlier chunk's are dead."""
+
+    def __init__(self, obj, rng=None):
+        self.obj, self.rng, self.refs = obj, rng, []
+        self.name, self.dimension = obj.name, obj.dimension
+        self.draws = self.calls = 0
+
+    def _arrive(self, chunk):
+        alive = [i for i, ref in self.refs if i < chunk and ref() is not None]
+        assert not alive, f"chunks {alive} are alive at chunk {chunk}"
+        self.refs = [(i, ref) for i, ref in self.refs if i >= chunk]
+
+    def uniform(self, *args, **kwargs):
+        self._arrive(self.draws)
+        draw = self.rng.uniform(*args, **kwargs)
+        self.refs.append((self.draws, weakref.ref(draw)))
+        self.draws += 1
+        return draw
+
+    def batch(self, points):
+        self._arrive(self.calls)
+        values = self.obj.batch(points)
+        self.refs += [(self.calls, weakref.ref(points)), (self.calls, weakref.ref(values))]
+        self.calls += 1
+        return values
+
+
+@pytest.mark.parametrize("obj", [lookup_objective("michalewicz", 2), _gappy_sphere()],
+                         ids=["michalewicz", "non-finite"])
+def test_the_oracles_hold_one_chunk_at_a_time(monkeypatch, obj):
+    """A chunk and its values are dead before the next chunk is drawn or
+    evaluated: grid runs of whole rows and pieces of one row, and random
+    draws, each spread over several chunks."""
+    monkeypatch.setattr(oracle, "_CHUNK", 120)
+    for resolution in (40, 300):  # 3 rows a chunk; 3 pieces a row
+        flight = _OneChunkInFlight(obj)
+        grid_search(flight, GridSpec(box=obj.init_box, resolution=resolution))
+        assert flight.calls > 10
+    flight = _OneChunkInFlight(obj, np.random.default_rng(3))
+    random_search_baseline(flight, obj.init_box, 1000, flight)
+    assert flight.draws == flight.calls == 9
+
+
+def test_the_1000_squared_grid_peaks_at_one_chunk_of_values():
+    """The 1000^2 Michalewicz grid's ``tracemalloc`` peak stays below its
+    lattice buffer plus one chunk's values plus 256 KiB; holding a chunk's
+    values while the next chunk's are made peaked one values array higher."""
+    obj = lookup_objective("michalewicz", 2)
+    spec = GridSpec(box=obj.init_box, resolution=1000)
+    nodes = oracle._CHUNK // spec.resolution * spec.resolution
+    tracemalloc.start()
+    try:
+        grid_search(obj, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nodes * 8 * (spec.dimension + 1) + (256 << 10), peak
 
 
 # ---------------------------------------------------------------------------
