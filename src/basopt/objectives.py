@@ -20,13 +20,14 @@ the row layout, as do single points and smaller batches.
 The same order lets ``Objective.batch`` evaluate a lattice chunk of
 ``grid_search`` without computing a term per coordinate of every node, for
 the registry's ``michalewicz`` and ``sphere`` with fewer than 8 axes. Both
-add one term per axis that depends only on that coordinate, so each
-leading axis's terms are computed once per node of that axis in the chunk,
-and the last axis's once per search, by the helpers that the functions' own
-layouts use. A node's leading terms are added from 0.0 in index order and
-its last-axis term after them; addition is commutative, so these are
-``np.add.reduce``'s bits. Goldstein-Price, other functions and 8 or more
-axes take the chunk as an ordinary batch.
+add one term per axis that depends only on that coordinate, so each axis's
+terms are computed once per search, over all of that axis's nodes, by the
+helpers that the functions' own layouts use, from strided columns as in
+column layout; a chunk gathers its runs' leading terms by node index. A
+node's leading terms are added from 0.0 in index order and its last-axis
+term after them; addition is commutative, so these are ``np.add.reduce``'s
+bits. Goldstein-Price, other functions and 8 or more axes take the chunk as
+an ordinary batch.
 """
 
 from __future__ import annotations
@@ -140,34 +141,38 @@ def _in_columns(x: Array) -> bool:
 class _LatticeChunk(np.ndarray):
     """A read-only ``(n, k)`` float64 array of lattice nodes, as
     ``grid_search`` hands it to ``Objective.batch``: ``rows`` runs of
-    n / rows nodes in C order, each run one node of the first k - 1 axes
-    paired with the same n / rows nodes of the last axis. ``store`` is a
-    dict that keeps the last axis's terms by terms function. One
+    n / rows nodes in C order, run j pairing node ``index[a][j]`` of each
+    leading axis a < k - 1 with the same n / rows nodes of the last axis.
+    ``axes`` holds the k - 1 leading axes' nodes, each a strided column of
+    one ``(resolution, k)`` array, as a batch's columns are. ``store`` is a
+    dict that keeps every axis's terms by terms function: the leading
+    axes' at all their nodes, the last axis's at the chunk's. One
     ``grid_search`` call shares it between its chunks when they are runs of
     whole rows, which all hold the same last-axis nodes, and gives each
     chunk its own when they are pieces of one row. An array made from a
     chunk, a view or a copy, has ``rows = None`` and is an ordinary batch."""
 
-    rows = None
-    store = None
+    rows = index = axes = store = None
 
 
-def _lattice_sum(points: Array, rows: int, terms, store: dict) -> Array:
-    """The sums of per-axis ``terms`` at the nodes of a lattice chunk of
-    ``rows`` runs. The leading axes' terms are computed once per node the
-    chunk holds, the last axis's only when ``store`` lacks them. A node's sum
-    repeats the sum of its run's leading terms, added from 0.0 in index
-    order, and then adds its last-axis term."""
-    k = points.shape[1]
-    i = np.arange(1, k + 1, dtype=float)
-    block = points.reshape(rows, -1, k)
-    last = store.get(terms)
-    if last is None:
-        last = store[terms] = terms(block[0, :, -1], i[-1])
-    lead = np.add.reduce(terms(block[:, 0, :-1], i[:-1]), axis=-1)
-    # Repeated, then added along each run in place: a contiguous add, where
-    # lead[:, None] + last loops over a stride-0 operand once per run.
-    total = np.repeat(lead, block.shape[1])
+def _lattice_sum(points: Array, chunk: _LatticeChunk, terms) -> Array:
+    """The sums of per-axis ``terms`` at the nodes of lattice ``chunk``,
+    whose plain array is ``points``. The first chunk of a store computes
+    every axis's terms, one call per axis. A run's leading terms are
+    gathered by node index and added from 0.0 in index order; each node
+    of the run repeats that sum and then adds its last-axis term."""
+    rows, k = chunk.rows, points.shape[1]
+    per_axis = chunk.store.get(terms)
+    if per_axis is None:
+        nodes = (*chunk.axes, points.reshape(rows, -1, k)[0, :, -1])
+        per_axis = chunk.store[terms] = [terms(x, float(i)) for i, x in enumerate(nodes, 1)]
+    lead = np.empty((rows, k - 1))
+    for j, index in enumerate(chunk.index):
+        lead[:, j] = per_axis[j][index]
+    last = per_axis[-1]
+    # Repeated, then added along each run in place: a contiguous add, where a
+    # broadcast add of the runs' sums loops over a stride-0 operand per run.
+    total = np.add.reduce(lead, axis=-1).repeat(len(last))
     runs = total.reshape(rows, -1)
     runs += last
     return total
@@ -211,9 +216,9 @@ class Objective:
         """The ``(n,)`` float64 values of an ``(n, k)`` array of points, from
         one ``fn`` call on the calling thread. A lattice chunk of
         ``grid_search`` for ``michalewicz`` or ``sphere`` with fewer than 8
-        axes is summed from each axis's terms instead, the last axis's kept
-        in the chunk's ``store``, with the same bits (module docstring), and
-        ``fn`` is not called."""
+        axes is summed from each axis's terms instead, kept in the chunk's
+        ``store`` for the rest of the search, with the same bits (module
+        docstring), and ``fn`` is not called."""
         chunk = points if isinstance(points, _LatticeChunk) and points.rows else None
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dimension:
@@ -222,7 +227,7 @@ class Objective:
         if chunk is not None and self.dimension < 8:
             for fn, terms, negate in _PER_AXIS:
                 if self.fn is fn:
-                    total = _lattice_sum(points, chunk.rows, terms, chunk.store)
+                    total = _lattice_sum(points, chunk, terms)
                     return np.negative(total, out=total) if negate else total
         return np.asarray(self.fn(points), dtype=float)
 

@@ -9,6 +9,7 @@ a checkable statement rather than a slogan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .core import Array, _as_box, _as_int
 from .objectives import Objective, _LatticeChunk
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 15
 _MAX_NODES = 10 ** 8  # largest lattice a GridSpec accepts: a guard for resolution ** k
 
 
@@ -65,12 +66,12 @@ def _minimum(objective: Objective, chunks, nowhere: str) -> tuple[Array, float]:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for points in chunks:
             values = objective.batch(points)
-            i = int(np.argmin(values))
-            if not np.isfinite(values[i]):
+            i = values.argmin()
+            if not math.isfinite(values[i]):
                 # A non-finite value is an overflow in the objective, never a
                 # minimum, and a NaN would hide the rest from argmin.
                 values = np.where(np.isfinite(values), values, np.inf)
-                i = int(np.argmin(values))
+                i = values.argmin()
             if values[i] < best_value:
                 best_point, best_value = np.array(points[i]), float(values[i])
             del points, values
@@ -84,9 +85,10 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
     smallest coordinates. Every node goes once through ``objective.batch``,
     in C-order chunks that are read-only ``_LatticeChunk`` views of one
     buffer, so ``michalewicz`` and ``sphere`` with fewer than 8 axes compute
-    each leading axis's terms once per chunk node of that axis and the last
-    axis's once per call, with the bits of a plain batch. The point returned
-    is a plain ``np.ndarray``."""
+    each axis's terms once per call (once per piece when a row is cut into
+    pieces) and gather them by node index, with the bits of a plain batch.
+    Nothing is kept between calls. The point returned is a plain
+    ``np.ndarray``."""
     if grid.dimension != objective.dimension:
         raise ValueError(
             f"grid has {grid.dimension} axes but {objective.name} expects {objective.dimension}")
@@ -99,10 +101,13 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
     rows, width = (_CHUNK // r, r) if r <= _CHUNK else (1, _CHUNK)
     buf = np.empty((min(rows, n_rows) * width, k))
     # Runs of whole rows share the last axis's column, written once, and the
-    # per-axis sums' last-axis terms, kept in a store of this call.
+    # per-axis sums' terms, kept in a store of this call.
     whole, store = width == r, {}
     if whole:
         buf.reshape(-1, r, k)[..., -1] = axes[-1]
+    # The leading axes' nodes as strided columns of one (r, k) array, the
+    # layout of a batch's columns, for the per-axis terms.
+    lead_axes = tuple(np.stack(axes, axis=-1).T[:-1]) if k > 1 else ()
 
     def chunks():
         # Nodes in C order = lexicographic coordinate order, so the first
@@ -120,7 +125,8 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
                     block[..., j] = axes[j][index, None]
                 chunk = points.view(_LatticeChunk)
                 chunk.flags.writeable = False
-                chunk.rows, chunk.store = n_run, store if whole else {}
+                chunk.rows, chunk.index, chunk.axes = n_run, lead, lead_axes
+                chunk.store = store if whole else {}
                 yield chunk
 
     return _minimum(objective, chunks(), "objective is not finite at any grid node")

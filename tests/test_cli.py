@@ -838,7 +838,7 @@ def test_box_whose_width_overflows_is_one_error_line(tmp_path, argv, field):
 def test_oracle_box_without_a_finite_value_is_one_error_line(tmp_path, argv, error):
     """Nodes that overflow, or a sphere that overflows at every point, are
     refused with one line, no traceback and no RuntimeWarning lines, also
-    over several batches of up to 65,536 points."""
+    over several batches of up to 32,768 points."""
     proc = _run_module(["oracle", argv[0], "--objective", "sphere"] + argv[1:], tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {error}"]

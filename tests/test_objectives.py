@@ -342,7 +342,7 @@ def test_objective_batch_shape():
 # Objective.batch on the calling thread
 
 def test_no_workload_starts_a_thread():
-    """The 1000^2 grid and a random search over several 65,536-point chunks
+    """The 1000^2 grid and a random search over several 32,768-point chunks
     evaluate every batch on the calling thread."""
     mich2 = lookup_objective("michalewicz", 2)
     with mock.patch.object(threading.Thread, "start",

@@ -1,6 +1,7 @@
 """Tests for the exhaustive grid oracle and the random-search baseline."""
 
 import itertools
+import math
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from basopt import oracle
+from basopt import objectives, oracle
 from basopt.objectives import Objective, lookup_objective
 from basopt.oracle import GridSpec, _axis, grid_search, random_search_baseline
 
@@ -235,6 +236,9 @@ def _assert_plain_argmin(obj, spec, result):
         assert value.hex() == want_value.hex()
 
 
+# The shipped chunk size, read before any test replaces it.
+_DEFAULT_CHUNK = oracle._CHUNK
+
 # How chunks fall, one kind per example: any _CHUNK; pieces of one row
 # (_CHUNK below the resolution, k = 1 unless Goldstein-Price), which must
 # neither share the last axis's column nor its terms; a _CHUNK of exactly
@@ -280,7 +284,7 @@ def test_grid_equals_the_argmin_of_one_plain_batch_bitwise(name, k, chunking, da
         chunk = runs * r + data.draw(st.integers(0, r - 1), label="spare nodes")
     else:
         chunk = data.draw(st.one_of(st.integers(1, 64), st.sampled_from(
-            [r - 1 or 1, r, r + 1, 3 * r + 2, 1 << 16])), label="_CHUNK")
+            [r - 1 or 1, r, r + 1, 3 * r + 2, _DEFAULT_CHUNK])), label="_CHUNK")
 
     seen = []
 
@@ -311,8 +315,56 @@ def test_grid_equals_the_argmin_of_one_plain_batch_bitwise(name, k, chunking, da
     _assert_plain_argmin(obj, spec, result)
 
 
+@pytest.mark.parametrize("name", ["michalewicz", "sphere"])
+def test_each_axis_terms_are_computed_once_per_search(monkeypatch, name):
+    """Over runs of whole rows a search calls the terms function once per
+    axis, k calls whatever the number of chunks; a row cut into pieces
+    computes its terms once per piece. A second search calls them again:
+    nothing is kept across searches."""
+    calls = []
+
+    def counted_terms(terms):
+        def wrapped(x, i):
+            calls.append(i)
+            return terms(x, i)
+        return wrapped
+
+    monkeypatch.setattr(objectives, "_PER_AXIS", tuple(
+        (fn, counted_terms(terms), negate) for fn, terms, negate in objectives._PER_AXIS))
+    # k = 1 at 2500 nodes is cut into pieces below the default chunk;
+    # k = 2 and 3 are runs of whole rows at every chunk size here.
+    for (k, r), chunk in itertools.product([(1, 2500), (2, 50), (3, 20)],
+                                           [120, 1000, _DEFAULT_CHUNK]):
+        obj = lookup_objective(name, k)
+        spec = GridSpec(box=obj.init_box, resolution=r)
+        batches = []
+        counted = SimpleNamespace(name=obj.name, dimension=k,
+                                  batch=lambda p, obj=obj, batches=batches:
+                                  batches.append(len(p)) or obj.batch(p))
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        for _ in range(2):
+            calls.clear()
+            batches.clear()
+            _assert_plain_argmin(obj, spec, grid_search(counted, spec))
+            pieces = r > chunk
+            assert calls == list(map(float, range(1, k + 1))) * (len(batches) if pieces else 1)
+            assert len(batches) == (-(-r // chunk) if pieces else -(-r ** (k - 1) // (chunk // r)))
+
+
+def test_the_1000_squared_grid_is_32_batches():
+    """At the shipped chunk size the 1000^2 grid is ceil(1000 / 32) = 32
+    chunks of whole rows, one ``batch`` call each."""
+    obj = lookup_objective("michalewicz", 2)
+    sizes = []
+    counted = SimpleNamespace(name=obj.name, dimension=2,
+                              batch=lambda p: sizes.append(len(p)) or obj.batch(p))
+    grid_search(counted, GridSpec(box=obj.init_box, resolution=1000))
+    assert len(sizes) == math.ceil(1000 / (oracle._CHUNK // 1000)) == 32
+    assert sum(sizes) == 10 ** 6 and max(sizes) == 32_000
+
+
 def test_grid_chunks_share_no_terms_across_searches_or_objectives():
-    """The last axis's terms are kept for one ``grid_search`` call and one
+    """Every axis's terms are kept for one ``grid_search`` call and one
     per-axis sum: back-to-back searches of one objective on two boxes, then
     of Michalewicz and sphere on one box, and a search whose objective sums
     both on every chunk, each give the first argmin of a fresh plain batch."""
