@@ -7,27 +7,27 @@ established. All functions are pure and row-wise. ``Objective.batch``
 evaluates a batch on the calling thread, in one ``fn`` call unless the batch
 is a lattice chunk (below).
 
-A batch of k = 2 to 7 coordinates and at least ``_COLUMN_ROWS * k`` rows goes
-through ``michalewicz`` and ``sphere`` in column layout: every step works on
-the k rows of ``x.T``, a view, so each numpy call loops over the n points and
-none over a k-wide axis, and the sums are ``np.add.reduce`` along the
-layout's own axis, axis 0 of the C-ordered (k, n) terms. That adds the k
-terms of a point from 0.0 in index order, the order in which it adds a row
-of fewer than 8 terms along axis -1, so the values are the row layout's, bit
-for bit. From 8 terms on numpy sums a row pairwise, so wider batches keep
-the row layout, as do single points and smaller batches.
+One rule, ``_summed_per_axis``, sends a batch of k = 2 to 7 coordinates,
+of any number of rows, through ``michalewicz`` and ``sphere`` in column
+layout: every step works on the k rows of ``x.T``, a view, so each numpy
+call loops over the n points and none over a k-wide axis, and the sums are
+``np.add.reduce`` along the layout's own axis, axis 0 of the C-ordered
+(k, n) terms. That adds the k terms of a point from 0.0 in index order, the
+order in which it adds a row of fewer than 8 terms along axis -1, so the
+values are the row layout's, bit for bit. From 8 terms on numpy sums a row
+pairwise, so wider batches keep the row layout, as do single points and
+k = 1, which has no k-wide loop to save.
 
-The same order lets ``Objective.batch`` evaluate a lattice chunk of
-``grid_search`` without computing a term per coordinate of every node, for
-the registry's ``michalewicz`` and ``sphere`` with fewer than 8 axes. Both
-add one term per axis that depends only on that coordinate, so each axis's
-terms are computed once per search, over all of that axis's nodes, by the
-helpers that the functions' own layouts use, from strided columns as in
-column layout; a chunk gathers its runs' leading terms by node index. A
-node's leading terms are added from 0.0 in index order and its last-axis
-term after them; addition is commutative, so these are ``np.add.reduce``'s
-bits. Goldstein-Price, other functions and 8 or more axes take the chunk as
-an ordinary batch.
+The same rule lets ``Objective.batch`` evaluate a lattice chunk of
+``grid_search``, a run of whole rows, without computing a term per
+coordinate of every node. Both functions add one term per axis that depends
+only on that coordinate, so each axis's terms are computed once per search,
+over all of that axis's nodes, by the helpers that the functions' own
+layouts use, from strided columns as in column layout; a chunk gathers its
+runs' leading terms by node index. A node's leading terms are added from
+0.0 in index order and its last-axis term after them; addition is
+commutative, so these are ``np.add.reduce``'s bits. Goldstein-Price, other
+functions and other widths take the chunk as an ordinary batch.
 """
 
 from __future__ import annotations
@@ -45,17 +45,6 @@ from .core import Array, _as_int
 # (2.20319, 1.57049)).
 MICHALEWICZ_2D_ARGMIN = (2.202905513296628, 1.570796322320509)
 MICHALEWICZ_2D_MIN = -1.8013034100985499
-
-# Rows per coordinate from which a batch of k = 2 to 7 coordinates is
-# evaluated in column layout. Its numpy calls cost more to start: on a 2-CPU
-# VM (numpy 2.4) a 1-row 2-D Michalewicz call takes 19 us in columns against
-# 15 us in rows, and a 100-iteration single-trial `run` (1- and 2-row
-# batches) 7-14% more. The layouts break even at about 180 rows for k = 2,
-# 240 for k = 3 and 500-1000 for k = 7. At 32768 rows columns take 0.79x the
-# time for 2-D Michalewicz, 0.86x for 3-D and 0.13x for 2-D sphere. With
-# k = 1 there is no k-wide loop to save, and columns only cost.
-_COLUMN_ROWS = 100
-
 
 def michalewicz(x, m: int = 10) -> float | Array:
     """Michalewicz function: -sum_i sin(x_i) * sin(i * x_i^2 / pi)^(2m).
@@ -133,47 +122,51 @@ def _sphere_terms(x: Array, i=None) -> Array:
     return np.multiply(x, x, order="C")
 
 
+def _summed_per_axis(k: int) -> bool:
+    """Whether ``michalewicz`` and ``sphere`` add the terms of k coordinates
+    per axis, in column layout and on lattice chunks (module docstring)."""
+    return 1 < k < 8
+
+
 def _in_columns(x: Array) -> bool:
     """Whether ``x`` is a batch to evaluate in column layout (module docstring)."""
-    return x.ndim == 2 and 1 < x.shape[1] < 8 and len(x) >= _COLUMN_ROWS * x.shape[1]
+    return x.ndim == 2 and _summed_per_axis(x.shape[1])
 
 
 class _LatticeChunk(np.ndarray):
     """A read-only ``(n, k)`` float64 array of lattice nodes, as
-    ``grid_search`` hands it to ``Objective.batch``: ``rows`` runs of
-    n / rows nodes in C order, run j pairing node ``index[a][j]`` of each
-    leading axis a < k - 1 with the same n / rows nodes of the last axis.
-    ``axes`` holds the k - 1 leading axes' nodes, each a strided column of
-    one ``(resolution, k)`` array, as a batch's columns are. ``store`` is a
-    dict that keeps every axis's terms by terms function: the leading
-    axes' at all their nodes, the last axis's at the chunk's. One
-    ``grid_search`` call shares it between its chunks when they are runs of
-    whole rows, which all hold the same last-axis nodes, and gives each
-    chunk its own when they are pieces of one row. An array made from a
-    chunk, a view or a copy, has ``rows = None`` and is an ordinary batch."""
+    ``grid_search`` hands it to ``Objective.batch``. On a chunk of whole
+    rows, ``index`` holds one array of node indices per leading axis, one
+    entry per run: run j pairs node ``index[a][j]`` of each leading axis
+    a < k - 1 with every node of the last axis, in C order. ``axes`` holds
+    all k axes' nodes, each a strided column of one ``(resolution, k)``
+    array, as a batch's columns are, and ``store`` is a dict of the
+    ``grid_search`` call that keeps every axis's terms by terms function.
+    ``Objective.batch`` sums such a chunk per axis under the one rule,
+    k = 2 to 7 (``_summed_per_axis``). A piece of a row, and an array made
+    from a chunk, a view or a copy, has ``index = None`` and is an
+    ordinary batch."""
 
-    rows = index = axes = store = None
+    index = axes = store = None
 
 
-def _lattice_sum(points: Array, chunk: _LatticeChunk, terms) -> Array:
-    """The sums of per-axis ``terms`` at the nodes of lattice ``chunk``,
-    whose plain array is ``points``. The first chunk of a store computes
-    every axis's terms, one call per axis. A run's leading terms are
-    gathered by node index and added from 0.0 in index order; each node
-    of the run repeats that sum and then adds its last-axis term."""
-    rows, k = chunk.rows, points.shape[1]
+def _lattice_sum(chunk: _LatticeChunk, terms) -> Array:
+    """The sums of per-axis ``terms`` at the nodes of lattice ``chunk``, of
+    k = 2 to 7 axes. The first chunk of a store computes every axis's
+    terms, one call per axis. A run's leading terms are gathered by node
+    index and added from 0.0 in index order; each node of the run repeats
+    that sum and then adds its last-axis term."""
     per_axis = chunk.store.get(terms)
     if per_axis is None:
-        nodes = (*chunk.axes, points.reshape(rows, -1, k)[0, :, -1])
-        per_axis = chunk.store[terms] = [terms(x, float(i)) for i, x in enumerate(nodes, 1)]
-    lead = np.empty((rows, k - 1))
+        per_axis = chunk.store[terms] = [terms(x, float(i)) for i, x in enumerate(chunk.axes, 1)]
+    lead = np.empty((len(chunk.index[0]), len(chunk.index)))
     for j, index in enumerate(chunk.index):
         lead[:, j] = per_axis[j][index]
     last = per_axis[-1]
     # Repeated, then added along each run in place: a contiguous add, where a
     # broadcast add of the runs' sums loops over a stride-0 operand per run.
     total = np.add.reduce(lead, axis=-1).repeat(len(last))
-    runs = total.reshape(rows, -1)
+    runs = total.reshape(-1, len(last))
     runs += last
     return total
 
@@ -214,20 +207,20 @@ class Objective:
 
     def batch(self, points) -> Array:
         """The ``(n,)`` float64 values of an ``(n, k)`` array of points, from
-        one ``fn`` call on the calling thread. A lattice chunk of
-        ``grid_search`` for ``michalewicz`` or ``sphere`` with fewer than 8
+        one ``fn`` call on the calling thread. A lattice chunk of whole rows
+        of ``grid_search`` for ``michalewicz`` or ``sphere`` with 2 to 7
         axes is summed from each axis's terms instead, kept in the chunk's
         ``store`` for the rest of the search, with the same bits (module
         docstring), and ``fn`` is not called."""
-        chunk = points if isinstance(points, _LatticeChunk) and points.rows else None
+        chunk = points if isinstance(points, _LatticeChunk) and points.index is not None else None
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError(
                 f"{self.name} expects points of shape (n, {self.dimension}), got {points.shape}")
-        if chunk is not None and self.dimension < 8:
+        if chunk is not None and _summed_per_axis(self.dimension):
             for fn, terms, negate in _PER_AXIS:
                 if self.fn is fn:
-                    total = _lattice_sum(points, chunk, terms)
+                    total = _lattice_sum(chunk, terms)
                     return np.negative(total, out=total) if negate else total
         return np.asarray(self.fn(points), dtype=float)
 

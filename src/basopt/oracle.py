@@ -84,11 +84,11 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
     """Minimize over every lattice node; ties go to the lexicographically
     smallest coordinates. Every node goes once through ``objective.batch``,
     in C-order chunks that are read-only ``_LatticeChunk`` views of one
-    buffer, so ``michalewicz`` and ``sphere`` with fewer than 8 axes compute
-    each axis's terms once per call (once per piece when a row is cut into
-    pieces) and gather them by node index, with the bits of a plain batch.
-    Nothing is kept between calls. The point returned is a plain
-    ``np.ndarray``."""
+    buffer. On chunks of whole rows of 2 to 7 axes, ``michalewicz`` and
+    ``sphere`` compute each axis's terms once per call and gather them by
+    node index, with the bits of a plain batch; a 1-D grid and the pieces
+    of a row longer than ``_CHUNK`` are plain batches. Nothing is kept
+    between calls. The point returned is a plain ``np.ndarray``."""
     if grid.dimension != objective.dimension:
         raise ValueError(
             f"grid has {grid.dimension} axes but {objective.name} expects {objective.dimension}")
@@ -105,9 +105,9 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
     whole, store = width == r, {}
     if whole:
         buf.reshape(-1, r, k)[..., -1] = axes[-1]
-    # The leading axes' nodes as strided columns of one (r, k) array, the
-    # layout of a batch's columns, for the per-axis terms.
-    lead_axes = tuple(np.stack(axes, axis=-1).T[:-1]) if k > 1 else ()
+    # Every axis's nodes as strided columns of one (r, k) array, the layout
+    # of a batch's columns, for the per-axis terms.
+    all_axes = tuple(np.stack(axes, axis=-1).T)
 
     def chunks():
         # Nodes in C order = lexicographic coordinate order, so the first
@@ -125,8 +125,8 @@ def grid_search(objective: Objective, grid: GridSpec) -> tuple[Array, float]:
                     block[..., j] = axes[j][index, None]
                 chunk = points.view(_LatticeChunk)
                 chunk.flags.writeable = False
-                chunk.rows, chunk.index, chunk.axes = n_run, lead, lead_axes
-                chunk.store = store if whole else {}
+                if whole:
+                    chunk.index, chunk.axes, chunk.store = lead, all_axes, store
                 yield chunk
 
     return _minimum(objective, chunks(), "objective is not finite at any grid node")

@@ -1,7 +1,6 @@
 """Tests for the benchmark objectives and the registry."""
 
 import threading
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -85,15 +84,6 @@ def _nan_canonical_bytes(values):
     return np.where(np.isnan(values), np.nan, values).tobytes()
 
 
-@contextmanager
-def _column_rows(rows):
-    """``michalewicz`` and ``sphere`` taking the column layout from ``rows``
-    rows per coordinate (0: every batch of 2 to 7 coordinates)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(objectives, "_COLUMN_ROWS", rows)
-        yield
-
-
 def _read_only(x):
     x = x.copy()
     x.flags.writeable = False
@@ -116,17 +106,15 @@ _WIDTHS = st.one_of(st.integers(1, 33), st.sampled_from([7, 8]))
 
 @settings(max_examples=300, deadline=None)
 @given(k=_WIDTHS, n=st.one_of(st.none(), st.integers(0, 300)),
-       m=st.sampled_from([1, 2, 10]), layout=st.sampled_from(sorted(_LAYOUTS)),
-       column_rows=st.sampled_from([0, objectives._COLUMN_ROWS]), data=st.data())
-def test_michalewicz_in_place_matches_reference_bitwise(k, n, m, layout, column_rows, data):
+       m=st.sampled_from([1, 2, 10]), layout=st.sampled_from(sorted(_LAYOUTS)), data=st.data())
+def test_michalewicz_in_place_matches_reference_bitwise(k, n, m, layout, data):
     coords = st.one_of(st.floats(-1e6, 1e6),
                        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
     values = data.draw(arrays(np.float64, (k,) if n is None else (n, k), elements=coords))
     x = _LAYOUTS[layout](values)
     before = x.tobytes()
     with np.errstate(invalid="ignore", over="ignore"):
-        with _column_rows(column_rows):
-            got = michalewicz(x, m)
+        got = michalewicz(x, m)
         want = _michalewicz_reference(values, m)
     assert x.tobytes() == before
     assert np.shape(got) == np.shape(want)
@@ -206,15 +194,13 @@ def test_sphere_values():
 
 
 @settings(max_examples=300, deadline=None)
-@given(k=_WIDTHS, n=st.one_of(st.none(), st.integers(0, 300)),
-       column_rows=st.sampled_from([0, objectives._COLUMN_ROWS]), data=st.data())
-def test_sphere_matches_reduce_of_squares_bitwise(k, n, column_rows, data):
+@given(k=_WIDTHS, n=st.one_of(st.none(), st.integers(0, 300)), data=st.data())
+def test_sphere_matches_reduce_of_squares_bitwise(k, n, data):
     coords = st.one_of(st.floats(-1e300, 1e300),
                        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
     x = data.draw(arrays(np.float64, (k,) if n is None else (n, k), elements=coords))
     with np.errstate(invalid="ignore", over="ignore"):
-        with _column_rows(column_rows):
-            got = sphere(x)
+        got = sphere(x)
         want = np.add.reduce(x * x, axis=-1)
     assert np.shape(got) == np.shape(want)
     assert _nan_canonical_bytes(got) == _nan_canonical_bytes(want)
@@ -224,6 +210,23 @@ def test_sphere_matches_reduce_of_squares_bitwise(k, n, column_rows, data):
 # column layout
 
 _MAGNITUDES = st.floats(0.0, 16.0).map(lambda e: 10.0 ** e)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_every_batch_of_2_to_7_coordinates_is_in_column_layout(monkeypatch, k):
+    """Whatever its rows, from one on, a batch of k = 2 to 7 coordinates
+    reaches the terms of ``michalewicz`` and ``sphere`` as the (k, n) view
+    ``x.T``; other widths and single points keep their own shape."""
+    shapes = []
+    for name in ("_michalewicz_terms", "_sphere_terms"):
+        monkeypatch.setattr(objectives, name, lambda x, *args, terms=getattr(objectives, name):
+                            shapes.append(x.shape) or terms(x, *args))
+    for shape in ((1, k), (2, k), (300, k), (k,)):
+        shapes.clear()
+        michalewicz(np.full(shape, 0.5))
+        sphere(np.full(shape, 0.5))
+        columns = len(shape) == 2 and 1 < k < 8
+        assert shapes == [shape[::-1] if columns else shape] * 2, shape
 
 
 @settings(max_examples=300, deadline=None)

@@ -239,9 +239,9 @@ def _assert_plain_argmin(obj, spec, result):
 # The shipped chunk size, read before any test replaces it.
 _DEFAULT_CHUNK = oracle._CHUNK
 
-# How chunks fall, one kind per example: any _CHUNK; pieces of one row
-# (_CHUNK below the resolution, k = 1 unless Goldstein-Price), which must
-# neither share the last axis's column nor its terms; a _CHUNK of exactly
+# How chunks fall, one kind per example: any _CHUNK; pieces of rows
+# (_CHUNK below the resolution, k = 1 to 3, or 2 for Goldstein-Price), plain
+# batches that must not share the last axis's column; a _CHUNK of exactly
 # the resolution, one whole row a chunk; and runs of whole rows with a last
 # chunk of fewer runs (k >= 2).
 _CHUNKINGS = ("any", "pieces", "exact", "ragged")
@@ -260,7 +260,7 @@ def test_grid_equals_the_argmin_of_one_plain_batch_bitwise(name, k, chunking, da
     if name == "goldstein_price":
         k = 2
     elif chunking == "pieces":
-        k = 1
+        k = data.draw(st.integers(1, 3), label="k")
     elif chunking == "ragged":
         k = max(k, 2)
     obj = _hand_built(k) if name == "hand" else lookup_objective(name, k)
@@ -317,38 +317,49 @@ def test_grid_equals_the_argmin_of_one_plain_batch_bitwise(name, k, chunking, da
 
 @pytest.mark.parametrize("name", ["michalewicz", "sphere"])
 def test_each_axis_terms_are_computed_once_per_search(monkeypatch, name):
-    """Over runs of whole rows a search calls the terms function once per
-    axis, k calls whatever the number of chunks; a row cut into pieces
-    computes its terms once per piece. A second search calls them again:
-    nothing is kept across searches."""
-    calls = []
+    """Over runs of whole rows of 2 to 7 axes a search calls the terms
+    function once per axis, k calls whatever the number of chunks, and never
+    ``fn``. A 1-D grid, whether one row or pieces, rows cut into pieces and
+    8 axes make no terms call: each chunk is one ``fn`` call. A second
+    search calls the terms again: nothing is kept across searches."""
+    lattice, plain = [], []
 
-    def counted_terms(terms):
-        def wrapped(x, i):
-            calls.append(i)
-            return terms(x, i)
+    def counted(terms, calls):
+        def wrapped(x, *args):
+            calls.append(args[0] if args else None)
+            return terms(x, *args)
         return wrapped
 
+    # The lattice sums take their terms from _PER_AXIS, fn from the module.
     monkeypatch.setattr(objectives, "_PER_AXIS", tuple(
-        (fn, counted_terms(terms), negate) for fn, terms, negate in objectives._PER_AXIS))
-    # k = 1 at 2500 nodes is cut into pieces below the default chunk;
-    # k = 2 and 3 are runs of whole rows at every chunk size here.
-    for (k, r), chunk in itertools.product([(1, 2500), (2, 50), (3, 20)],
-                                           [120, 1000, _DEFAULT_CHUNK]):
+        (fn, counted(terms, lattice), negate) for fn, terms, negate in objectives._PER_AXIS))
+    fn_terms = f"_{name}_terms"
+    monkeypatch.setattr(objectives, fn_terms, counted(getattr(objectives, fn_terms), plain))
+    sizes = [120, 1000, _DEFAULT_CHUNK]
+    # k = 2 and 3 are runs of whole rows at these sizes; k = 1 at 2500 nodes
+    # is one row at the default chunk and pieces below it; chunks of 7 and
+    # 30 cut the k = 2 rows into pieces.
+    for (k, r), chunk in [*itertools.product([(2, 50), (3, 20), (1, 2500)], sizes),
+                          ((2, 50), 7), ((2, 50), 30), ((8, 3), 120), ((8, 3), _DEFAULT_CHUNK)]:
         obj = lookup_objective(name, k)
         spec = GridSpec(box=obj.init_box, resolution=r)
         batches = []
-        counted = SimpleNamespace(name=obj.name, dimension=k,
-                                  batch=lambda p, obj=obj, batches=batches:
-                                  batches.append(len(p)) or obj.batch(p))
+        counted_obj = SimpleNamespace(name=obj.name, dimension=k,
+                                      batch=lambda p, obj=obj, batches=batches:
+                                      batches.append(len(p)) or obj.batch(p))
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         for _ in range(2):
-            calls.clear()
+            where = f"k={k} res={r} _CHUNK={chunk}"
+            lattice.clear()
+            plain.clear()
             batches.clear()
-            _assert_plain_argmin(obj, spec, grid_search(counted, spec))
-            pieces = r > chunk
-            assert calls == list(map(float, range(1, k + 1))) * (len(batches) if pieces else 1)
-            assert len(batches) == (-(-r // chunk) if pieces else -(-r ** (k - 1) // (chunk // r)))
+            result = grid_search(counted_obj, spec)
+            per_axis = 1 < k < 8 and r <= chunk
+            assert lattice == (list(map(float, range(1, k + 1))) if per_axis else []), where
+            assert len(plain) == (0 if per_axis else len(batches)), where
+            assert len(batches) == (r ** (k - 1) * -(-r // chunk) if r > chunk
+                                    else -(-r ** (k - 1) // (chunk // r))), where
+            _assert_plain_argmin(obj, spec, result)
 
 
 def test_the_1000_squared_grid_is_32_batches():
