@@ -36,6 +36,11 @@ from .objectives import lookup_objective, objective_names
 from .oracle import GridSpec, grid_search, random_search_baseline
 
 _TRAJ_MODES = ("all", "first", "none")
+# Trial i's trajectory CSV is _TRAJ_NAME.format(i), in run_campaign and in
+# the helper that creates the names ahead. _staged takes every name that
+# _TRAJ_STALE matches, any count of digits, for an earlier campaign's CSV.
+_TRAJ_NAME = "traj_{:03d}.csv"
+_TRAJ_STALE = r"traj_[0-9]+\.csv"
 _CSV_VALUES = 1 << 16  # floats that emit_trajectory formats per write
 _SUMMARY_TRIALS = 1 << 12  # trials that emit_summary formats per write
 
@@ -408,7 +413,10 @@ def _staged(out_dir: str):
     bring. An ``OSError`` becomes a ``ConfigError`` naming out-dir. The
     staging directory is named before it is made, so that an exception
     raised anywhere, such as by a signal, still finds it to remove with its
-    contents; after the moves it is empty, and ``os.rmdir`` removes it."""
+    contents; after the moves it is empty, and ``os.rmdir`` removes it.
+    ``run_campaign``'s helper, which may only create empty trajectory files
+    in the staging directory, is killed and reaped before anything here
+    moves or removes them; a SIGKILLed campaign's helper ends by itself."""
     target = Path(out_dir)
     missing = [path for path in (target, *target.parents) if not path.exists()]
     staging = target / f".basopt-{os.urandom(8).hex()}"
@@ -422,7 +430,7 @@ def _staged(out_dir: str):
                 os.replace(staging / name, target / name)
             os.rmdir(staging)
             for name in os.listdir(target):
-                if re.fullmatch(r"traj_[0-9]+\.csv", name) and name not in staged:
+                if re.fullmatch(_TRAJ_STALE, name) and name not in staged:
                     os.remove(target / name)
         finally:
             if staging.exists():
@@ -433,6 +441,50 @@ def _staged(out_dir: str):
         for path in missing:  # leaf first; rmdir only succeeds while empty
             with suppress(OSError):
                 path.rmdir()
+
+
+# Run as ``python -I -S -c _CREATE_NAMES DIR NAME FIRST STOP``: create
+# DIR/NAME.format(i) for i in range(FIRST, STOP), in order, empty. O_CREAT
+# alone neither truncates nor fails on a name that exists, and nothing is
+# written, so a file the campaign has written stays as it is.
+_CREATE_NAMES = """\
+import os, sys
+folder, name, first, stop = sys.argv[1:]
+for i in range(int(first), int(stop)):
+    os.close(os.open(os.path.join(folder, name.format(i)), os.O_WRONLY | os.O_CREAT, 0o666))
+"""
+
+
+@contextmanager
+def _creating_ahead(staging: Path):
+    """Yield ``create_ahead(trials)``, to be called at most once, which
+    starts a helper process that creates the empty files ``_TRAJ_NAME``
+    gives ``trials`` in ``staging``: on a disk file system, creating a file
+    costs far more kernel time than reopening it, and the helper pays that
+    on another CPU. It starts only for a non-empty ``trials``, with a
+    Python interpreter and at least two usable CPUs; if it cannot be
+    started, there is none. It is killed and reaped when the block ends,
+    however it ends."""
+    helpers = []
+
+    def create_ahead(trials: range) -> None:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if not trials or not sys.executable or cpus < 2:
+            return
+        import subprocess  # here, so that importing this module does not import it
+        with suppress(OSError):
+            helpers.append(subprocess.Popen(
+                [sys.executable, "-I", "-S", "-c", _CREATE_NAMES, str(staging), _TRAJ_NAME,
+                 str(trials.start), str(trials.stop)],
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
+
+    try:
+        yield create_ahead
+    finally:
+        for helper in helpers:
+            helper.kill()
+            helper.wait()
 
 
 def _spread(f_values: np.ndarray) -> list:
@@ -458,9 +510,18 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     keeps (``8 * (k + 3) + 1`` bytes a trial). No ``RunResult`` is built.
     One block's arrays are resident at a time: a block's columns and
     history are dropped before the next block runs.
+
+    When the first block is back and later blocks hold recorded trials, one
+    helper process (``_creating_ahead``) creates their CSVs' names, empty,
+    in the staging directory on a second CPU, while this process searches
+    and writes; it does nothing else and starts on at least two usable CPUs
+    only. The files' names, bytes and modes do not depend on it. It is
+    killed and reaped before the artifacts move, also when the campaign
+    fails or is interrupted; a SIGKILLed campaign's helper ends by itself
+    after creating at most the campaign's ``trials`` names.
     """
     objective = lookup_objective(cfg.objective, cfg.dim)
-    with _staged(cfg.out_dir) as out_dir:
+    with _staged(cfg.out_dir) as out_dir, _creating_ahead(out_dir) as create_ahead:
         started = time.perf_counter()
         n = cfg.trials
         columns = {"seeds": np.empty(n, dtype=np.uint64), "x_bst": np.empty((n, cfg.dim)),
@@ -469,10 +530,12 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
         written = {"all": n, "first": 1, "none": 0}[cfg.traj]
         for start, block in _run_blocks(cfg.search, objective, n, written,
                                         partial(_trial_seeds, cfg.search.seed)):
+            if not start:
+                create_ahead(range(len(block), written))
             for name, column in columns.items():
                 column[start:start + len(block)] = getattr(block, name)
             for i, ran in enumerate(block.iterations[:len(block.history)].tolist()):
-                emit_trajectory(block.history[i, :ran], out_dir / f"traj_{start + i:03d}.csv")
+                emit_trajectory(block.history[i, :ran], out_dir / _TRAJ_NAME.format(start + i))
             del block
         duration = time.perf_counter() - started
 

@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -485,11 +486,28 @@ def test_a_campaign_across_blocks_is_run_trials_on_its_seeds(tmp_path, monkeypat
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def _helpers(monkeypatch, cpus=2, start=None):
+    """Give the campaign ``cpus`` usable CPUs and record every process it
+    starts, in the list returned; ``start(argv, **kwargs)`` stands in for
+    ``subprocess.Popen`` if given."""
+    started = []
+    popen = start or subprocess.Popen
+
+    def recorded(argv, **kwargs):
+        started.append(popen(argv, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(subprocess, "Popen", recorded)
+    return started
+
+
 def test_a_campaign_that_fails_in_its_second_block_leaves_the_out_dir_as_it_was(
         tmp_path, monkeypatch):
     """The first block's CSVs and trials were staged when the second block's
     objective fails: the error is the trial's, and the out-dir holds the
-    files it held before, with the same bytes, and nothing else."""
+    files it held before, with the same bytes, and nothing else. The helper
+    started after the first block has ended once the error is raised."""
     out_dir = tmp_path / "out"
     run_campaign(_cfg(out_dir, objective="sphere", trials=2, iters=5, traj="all"))
     before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
@@ -504,11 +522,107 @@ def test_a_campaign_that_fails_in_its_second_block_leaves_the_out_dir_as_it_was(
 
     monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)
     monkeypatch.setattr(core, "_run_block", second_fails)
+    helpers = _helpers(monkeypatch)
     cfg = _cfg(out_dir, objective="michalewicz", trials=20, iters=30, traj="all")
     with pytest.raises(ObjectiveError) as exc:
         run_campaign(cfg)
     assert firsts[0] == 0 < firsts[1] == exc.value.trial
     assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+    assert len(helpers) == 1 and helpers[0].returncode is not None
+
+
+def _eager(argv, popen=subprocess.Popen, **kwargs):
+    """A helper that has created every name before it returns."""
+    helper = popen(argv, **kwargs)
+    assert helper.wait(timeout=60) == 0
+    return helper
+
+
+class _Late:
+    """A helper that reaches every name after the campaign has written it:
+    it runs to its end when the campaign kills it."""
+
+    returncode = None
+
+    def __init__(self, argv, popen=subprocess.Popen, **kwargs):
+        self.start = lambda: popen(argv, **kwargs)
+
+    def kill(self):
+        self.returncode = self.start().wait(timeout=60)
+        assert self.returncode == 0
+
+    def wait(self):
+        return self.returncode
+
+
+def _refused(argv, **kwargs):
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("stop", [[], ["--stall", "5"]], ids=["plain", "stall"])
+def test_the_helper_does_not_change_the_artifacts(tmp_path, monkeypatch, stop):
+    """A multi-block ``--traj all`` campaign writes the same files, with the
+    same bytes and modes, on one CPU (no helper), with the real helper, with
+    one that creates every name before the campaign writes any CSV, with one
+    that reaches every name after the campaign has written it, and with a
+    helper that cannot be started: ``summary.json`` and one non-empty CSV
+    per trial. At most one helper starts, and it has ended when
+    ``run_campaign`` returns."""
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)
+    trials = 40
+    argv = ["--objective", "michalewicz", "--iters", "30", "--trials", str(trials),
+            "--seed", "9", "--traj", "all"] + stop
+    ways = {"one_cpu": (1, None, 0), "real": (2, None, 1), "eager": (2, _eager, 1),
+            "late": (2, _Late, 1), "refused": (2, _refused, 0)}
+    outputs = {}
+    for way, (cpus, start, expected) in ways.items():
+        with monkeypatch.context() as patch:
+            helpers = _helpers(patch, cpus, start)
+            out_dir = tmp_path / way
+            run_campaign(parse_config(argv + ["--out-dir", str(out_dir)]))
+        assert len(helpers) == expected, way
+        assert all(helper.returncode is not None for helper in helpers), way
+        files = {path.name: (path.read_bytes(), path.stat().st_mode)
+                 for path in out_dir.iterdir()}
+        assert sorted(files) == ["summary.json"] + [f"traj_{i:03d}.csv" for i in range(trials)]
+        assert all(data for data, _ in files.values()), way
+        outputs[way] = files
+    assert all(files == outputs["one_cpu"] for files in outputs.values())
+
+
+@pytest.mark.parametrize("argv,block_bytes", [
+    (["--objective", "michalewicz", "--trials", "40", "--iters", "30"], 1 << 12),
+    (["--objective", "michalewicz", "--dim", "2", "--iters", "100", "--trials", "200",
+      "--traj", "none"], 1 << 12),
+    (["--objective", "michalewicz", "--trials", "3", "--iters", "30", "--traj", "all"],
+     core._BLOCK_BYTES),
+], ids=["traj_first", "mich2d_search", "one_block_traj_all"])
+def test_a_campaign_whose_files_fit_one_block_starts_no_process(tmp_path, monkeypatch, argv,
+                                                                block_bytes):
+    """The default ``--traj first``, ``--traj none`` (many blocks each) and
+    a ``--traj all`` campaign of one block write no CSV after the first
+    block, so they start no helper on any number of CPUs, and run where
+    none could be started."""
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
+    attempts = []
+
+    def refused(argv, **kwargs):
+        attempts.append(argv)
+        return _refused(argv, **kwargs)
+
+    _helpers(monkeypatch, cpus=4, start=refused)
+    summary = run_campaign(parse_config(argv + ["--out-dir", str(tmp_path)]))
+    assert attempts == []
+    assert (tmp_path / "summary.json").is_file() and len(summary.trials) > 1
+
+
+def test_importing_the_cli_does_not_import_subprocess():
+    """Only a campaign that starts a helper imports ``subprocess``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, basopt.cli; print('subprocess' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1])))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize("caller", ["run_campaign", "run_trials"])
@@ -1043,12 +1157,12 @@ def test_failed_campaign_creates_no_out_dir(tmp_path, capsys):
     assert not (tmp_path / "fresh").exists()
 
 
-def _signalled_campaign(tmp_path, signame, handler, iters, trials):
+def _signalled_campaign(tmp_path, signame, handler, iters, trials, traj="none", ready=""):
     """Run ``python -m basopt.cli run`` on a 1000-D sphere in a child whose
     ``signame`` starts with ``handler`` (a name in ``signal``), whatever
     handles it in the test runner. Send it ``signame`` once its staging
-    directory exists, and return the child, its stdout, its stderr and the
-    out-dir."""
+    directory holds the file ``ready`` (or exists), and return the child,
+    its stdout, its stderr, the out-dir and the staging directory."""
     out_dir = tmp_path / "campaign"
     env = dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
@@ -1056,15 +1170,16 @@ def _signalled_campaign(tmp_path, signame, handler, iters, trials):
     child = ("import runpy, signal; "
              f"signal.signal(signal.{signame}, signal.{handler}); "
              "runpy.run_module('basopt.cli', run_name='__main__')")
-    # blocks of one trial and no history
+    # blocks of one trial
     proc = subprocess.Popen(
         [sys.executable, "-c", child, "run", "--objective", "sphere", "--dim", "1000",
-         "--iters", str(iters), "--trials", str(trials), "--traj", "none",
+         "--iters", str(iters), "--trials", str(trials), "--traj", traj,
          "--out-dir", str(out_dir)],
         cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 10
-        while not list(out_dir.glob(".basopt-*")):
+        while not ((staging := next(out_dir.glob(".basopt-*"), None)) and
+                   (staging / ready).exists()):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.02)
         proc.send_signal(getattr(signal, signame))
@@ -1072,7 +1187,7 @@ def _signalled_campaign(tmp_path, signame, handler, iters, trials):
     finally:
         proc.kill()
         proc.communicate()
-    return proc, stdout, stderr, out_dir
+    return proc, stdout, stderr, out_dir, staging
 
 
 # The handler each signal has at the start of a foreground Python process.
@@ -1084,12 +1199,31 @@ def test_a_signal_ends_a_campaign_without_leaving_its_staging(tmp_path, signame)
     """Killed while it runs, a campaign removes its staging directory and
     the out-dir it created, and exits with 128 + the signal's number."""
     # minutes of search
-    proc, stdout, stderr, out_dir = _signalled_campaign(
+    proc, stdout, stderr, out_dir, _ = _signalled_campaign(
         tmp_path, signame, _AT_START[signame], 100000, 50)
     assert proc.returncode == 128 + getattr(signal, signame)
     assert stderr.splitlines() == [f"error: interrupted by {signame}"]
     assert stdout == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: [])(0)) < 2,
+                    reason="the helper starts on at least two usable CPUs")
+def test_a_signal_ends_a_campaign_and_its_helper(tmp_path):
+    """A ``--traj all`` campaign of one-trial blocks has started its helper
+    by the time its first CSV is staged. Sent SIGTERM then, it exits with
+    128 + 15 and one error line, and leaves no staging directory and no
+    process that names it."""
+    # 2,000 trials of about 0.1 s each; the helper creates 1,999 names
+    proc, stdout, stderr, out_dir, staging = _signalled_campaign(
+        tmp_path, "SIGTERM", "SIG_DFL", 100, 2000, traj="all", ready="traj_000.csv")
+    assert proc.returncode == 128 + signal.SIGTERM
+    assert stderr.splitlines() == ["error: interrupted by SIGTERM"]
+    assert not out_dir.exists()
+    if sys.platform.startswith("linux"):
+        for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+            with suppress(OSError):
+                assert str(staging).encode() not in cmdline.read_bytes()
 
 
 def test_a_campaign_restores_the_signal_handlers(tmp_path, capsys):
@@ -1125,7 +1259,8 @@ def test_an_ignored_sighup_leaves_a_campaign_running(tmp_path):
     """Under ``nohup`` SIGHUP starts ignored: a campaign sent it runs on to
     its normal exit."""
     # a few seconds of search on 2 CPUs
-    proc, stdout, stderr, out_dir = _signalled_campaign(tmp_path, "SIGHUP", "SIG_IGN", 10000, 4)
+    proc, stdout, stderr, out_dir, _ = _signalled_campaign(tmp_path, "SIGHUP", "SIG_IGN",
+                                                           10000, 4)
     assert proc.returncode == 0, stderr
     assert stderr == ""
     assert stdout.startswith("campaign: objective=sphere dim=1000 trials=4 iters=10000 ")
