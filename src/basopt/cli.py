@@ -28,8 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _trajectory, core
 from .core import (TERMINATIONS, BasConfig, ObjectiveError, ScheduleSpec, TrialColumns, _as_int,
-                   _as_seed, _run_blocks, _trial_seeds)
+                   _as_seed, _blocks, _run_blocks, _trial_seeds)
 # Kept importable here; perfbench/tracer.py wraps them.
 from .core import derive_trial_seed, run  # noqa: F401
 from .objectives import lookup_objective, objective_names
@@ -37,11 +38,10 @@ from .oracle import GridSpec, grid_search, random_search_baseline
 
 _TRAJ_MODES = ("all", "first", "none")
 # Trial i's trajectory CSV is _TRAJ_NAME.format(i), in run_campaign and in
-# the helper that creates the names ahead. _staged takes every name that
-# _TRAJ_STALE matches, any count of digits, for an earlier campaign's CSV.
+# its helper process. _staged takes every name that _TRAJ_STALE matches,
+# any count of digits, for an earlier campaign's CSV.
 _TRAJ_NAME = "traj_{:03d}.csv"
 _TRAJ_STALE = r"traj_[0-9]+\.csv"
-_CSV_VALUES = 1 << 16  # floats that emit_trajectory formats per write
 _SUMMARY_TRIALS = 1 << 12  # trials that emit_summary formats per write
 
 
@@ -305,18 +305,15 @@ def emit_trajectory(trajectory: np.ndarray, path) -> None:
     are rendered with repr, which round-trips to the identical double.
 
     The rows are those of ``trajectory``, a ``RunResult.trajectory`` or a
-    trial's history rows, with ``t`` in front. They are formatted and
-    written in chunks of at most ``_CSV_VALUES`` floats (at least one row),
-    so the writer's memory does not grow with the row count.
+    trial's history rows, with ``t`` in front. ``_trajectory.write_csv``
+    formats and writes them in chunks of ``_trajectory.chunk_rows`` rows,
+    so the writer's memory does not grow with the row count; the campaign's
+    helper process writes its CSVs with the same function.
     """
-    width = trajectory.shape[1]
-    step = max(1, _CSV_VALUES // width)
-    with open(path, "w", buffering=1 << 16) as f:  # one write call for a file up to 64 KiB
-        f.write("t,f_x,f_bst,d,delta," + ",".join(f"x_{j}" for j in range(width - 4)))
-        for start in range(0, len(trajectory), step):
-            f.write("".join([f"\n{t},{','.join(map(repr, row))}" for t, row in
-                             enumerate(trajectory[start:start + step].tolist(), start + 1)]))
-        f.write("\n")
+    step = _trajectory.chunk_rows(trajectory.shape[1])
+    _trajectory.write_csv(path, trajectory.shape[1],
+                          (trajectory[start:start + step].tolist()
+                           for start in range(0, len(trajectory), step)))
 
 
 def emit_summary(summary: CampaignSummary, path) -> None:
@@ -414,8 +411,8 @@ def _staged(out_dir: str):
     staging directory is named before it is made, so that an exception
     raised anywhere, such as by a signal, still finds it to remove with its
     contents; after the moves it is empty, and ``os.rmdir`` removes it.
-    ``run_campaign``'s helper, which may only create empty trajectory files
-    in the staging directory, is killed and reaped before anything here
+    ``run_campaign``'s helper, which may only create and write trajectory
+    files in the staging directory, has been reaped before anything here
     moves or removes them; a SIGKILLed campaign's helper ends by itself."""
     target = Path(out_dir)
     missing = [path for path in (target, *target.parents) if not path.exists()]
@@ -443,48 +440,120 @@ def _staged(out_dir: str):
                 path.rmdir()
 
 
-# Run as ``python -I -S -c _CREATE_NAMES DIR NAME FIRST STOP``: create
-# DIR/NAME.format(i) for i in range(FIRST, STOP), in order, empty. O_CREAT
-# alone neither truncates nor fails on a name that exists, and nothing is
-# written, so a file the campaign has written stays as it is.
-_CREATE_NAMES = """\
-import os, sys
-folder, name, first, stop = sys.argv[1:]
-for i in range(int(first), int(stop)):
-    os.close(os.open(os.path.join(folder, name.format(i)), os.O_WRONLY | os.O_CREAT, 0o666))
-"""
+class _Helper:
+    """A campaign's helper process, once ``start`` has started it: ``python
+    -I -S`` running ``_trajectory.py`` on the staging directory, which
+    creates some later trials' CSV names ahead, empty, and writes the CSVs
+    of the trials that ``send`` streams to its standard input. As a context
+    manager it kills and reaps the helper when the block ends, however it
+    ends, unless ``finish`` has reaped it already."""
 
+    def __init__(self, staging: Path):
+        self.staging = staging
+        self.pid = None
+        self.pipe = None
+        self.sent = frozenset()  # the first trial of each block that the helper writes
 
-@contextmanager
-def _creating_ahead(staging: Path):
-    """Yield ``create_ahead(trials)``, to be called at most once, which
-    starts a helper process that creates the empty files ``_TRAJ_NAME``
-    gives ``trials`` in ``staging``: on a disk file system, creating a file
-    costs far more kernel time than reopening it, and the helper pays that
-    on another CPU. It starts only for a non-empty ``trials``, with a
-    Python interpreter and at least two usable CPUs; if it cannot be
-    started, there is none. It is killed and reaped when the block ends,
-    however it ends."""
-    helpers = []
+    def __enter__(self):
+        return self
 
-    def create_ahead(trials: range) -> None:
+    def __exit__(self, *exc_info):
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+            with suppress(OSError):  # the reader is gone: the flush fails, the fd closes
+                self.pipe.close()
+
+    def start(self, blocks: list) -> None:
+        """Start the helper for ``blocks``, the recorded trials of the blocks
+        after the first, in order: it creates the names of ``blocks[1]``,
+        ``blocks[3]``, ..., then writes the CSVs of ``blocks[0]``,
+        ``blocks[2]``, ..., which ``send`` gives it. It starts only for two
+        blocks or more, with a Python interpreter, at least two usable CPUs
+        and a pipe that holds ``_BLOCK_BYTES``, a block's history at most,
+        so that the campaign waits on the helper only when it is more than a
+        block behind; if it cannot be started, there is none.
+
+        SIGTERM, SIGHUP and SIGINT are blocked on this thread until the
+        helper's pid is recorded, so that one delivered here meanwhile runs
+        after that, and ``__exit__`` reaps the helper. The helper acts only
+        on what it reads, and it is sent its first message only once its
+        pid is recorded; a helper whose pid is lost all the same, to a
+        signal another thread took, reads the end of its input when the
+        pipe closes here and ends with nothing done.
+        """
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        if not trials or not sys.executable or cpus < 2:
+        if len(blocks) < 2 or not sys.executable or cpus < 2 or not hasattr(os, "posix_spawn"):
             return
-        import subprocess  # here, so that importing this module does not import it
-        with suppress(OSError):
-            helpers.append(subprocess.Popen(
-                [sys.executable, "-I", "-S", "-c", _CREATE_NAMES, str(staging), _TRAJ_NAME,
-                 str(trials.start), str(trials.stop)],
-                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
+        try:
+            import fcntl
+            setpipe = fcntl.F_SETPIPE_SZ
+        except (ImportError, AttributeError):  # not Linux
+            return
+        read, write = os.pipe()
+        pipe = open(write, "wb")
+        try:
+            with suppress(OSError):
+                fcntl.fcntl(write, setpipe, core._BLOCK_BYTES)
+                masked = signal.pthread_sigmask(signal.SIG_BLOCK, {
+                    signal.SIGTERM, signal.SIGHUP, signal.SIGINT})
+                try:
+                    self.pid = os.posix_spawn(
+                        sys.executable, [sys.executable, "-I", "-S", _trajectory.__file__,
+                                         str(self.staging), _TRAJ_NAME], os.environ,
+                        file_actions=[(os.POSIX_SPAWN_DUP2, read, 0),
+                                      (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+                                      (os.POSIX_SPAWN_DUP2, 1, 2)],
+                        setsigmask=())
+                    self.pipe = pipe
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, masked)
+        finally:
+            os.close(read)
+            if self.pipe is None:
+                pipe.close()
+        if self.pipe is not None:
+            self.sent = {block.start for block in blocks[::2]}
+            self._write([_trajectory.names(blocks[1::2])])
 
-    try:
-        yield create_ahead
-    finally:
-        for helper in helpers:
-            helper.kill()
-            helper.wait()
+    def send(self, start: int, history: np.ndarray, iterations: list) -> bool:
+        """Whether the helper writes the CSVs of the block whose first trial
+        is ``start``; if it does, stream it each recorded trial's frame: the
+        header ``(trial, rows, width)``, then its ``iterations[i]`` rows of
+        ``history``."""
+        if start not in self.sent:
+            return False
+        self._write(data for i, ran in enumerate(iterations)
+                    for data in (_trajectory.FRAME.pack(start + i, ran, history.shape[2]),
+                                 history[i, :ran]))
+        return True
+
+    def _write(self, data) -> None:
+        """Write each bytes-like object of ``data`` to the pipe, then flush
+        it. If the helper has ended, this raises ``finish``'s error, or the
+        ``BrokenPipeError`` if it exited with status 0."""
+        try:
+            for item in data:
+                self.pipe.write(item)
+            self.pipe.flush()
+        except BrokenPipeError:
+            self.finish()
+            raise
+
+    def finish(self) -> None:
+        """Close the pipe, so that the helper reads its end, and wait for it;
+        an ``OSError`` says how it ended unless it exited with status 0."""
+        if self.pid is None:
+            return
+        with suppress(BrokenPipeError):
+            self.pipe.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if code:
+            raise OSError("the trajectory helper " + (f"exited with status {code}" if code > 0
+                                                      else f"was killed by signal {-code}"))
 
 
 def _spread(f_values: np.ndarray) -> list:
@@ -511,17 +580,21 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     One block's arrays are resident at a time: a block's columns and
     history are dropped before the next block runs.
 
-    When the first block is back and later blocks hold recorded trials, one
-    helper process (``_creating_ahead``) creates their CSVs' names, empty,
-    in the staging directory on a second CPU, while this process searches
-    and writes; it does nothing else and starts on at least two usable CPUs
-    only. The files' names, bytes and modes do not depend on it. It is
-    killed and reaped before the artifacts move, also when the campaign
-    fails or is interrupted; a SIGKILLed campaign's helper ends by itself
-    after creating at most the campaign's ``trials`` names.
+    When the first block is back and two or more later blocks hold
+    recorded trials, a helper process (``_Helper``) writes the CSVs of
+    every second later block on a second CPU, while this process searches
+    and writes the others: it streams the helper those blocks' history
+    rows, and the helper creates the names of this process's later CSVs
+    ahead, empty, before it writes its own. Both format them with
+    ``_trajectory.write_csv``, so the files' names, bytes and modes do not
+    depend on the helper. It starts on at least two usable CPUs only. It
+    has exited with status 0 before the artifacts move, or the campaign
+    fails with an out-dir error; it is killed and reaped when the campaign
+    fails or is interrupted, and a SIGKILLed campaign's helper reads the
+    end of its input and ends by itself.
     """
     objective = lookup_objective(cfg.objective, cfg.dim)
-    with _staged(cfg.out_dir) as out_dir, _creating_ahead(out_dir) as create_ahead:
+    with _staged(cfg.out_dir) as out_dir, _Helper(out_dir) as helper:
         started = time.perf_counter()
         n = cfg.trials
         columns = {"seeds": np.empty(n, dtype=np.uint64), "x_bst": np.empty((n, cfg.dim)),
@@ -530,13 +603,17 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignSummary:
         written = {"all": n, "first": 1, "none": 0}[cfg.traj]
         for start, block in _run_blocks(cfg.search, objective, n, written,
                                         partial(_trial_seeds, cfg.search.seed)):
-            if not start:
-                create_ahead(range(len(block), written))
+            if not start and written > len(block):
+                helper.start([range(later.start, min(later.stop, written)) for later in
+                              _blocks(cfg.search, n, written) if 0 < later.start < written])
             for name, column in columns.items():
                 column[start:start + len(block)] = getattr(block, name)
-            for i, ran in enumerate(block.iterations[:len(block.history)].tolist()):
-                emit_trajectory(block.history[i, :ran], out_dir / _TRAJ_NAME.format(start + i))
+            recorded = block.iterations[:len(block.history)].tolist()
+            if not helper.send(start, block.history, recorded):
+                for i, ran in enumerate(recorded):
+                    emit_trajectory(block.history[i, :ran], out_dir / _TRAJ_NAME.format(start + i))
             del block
+        helper.finish()
         duration = time.perf_counter() - started
 
         trials = TrialColumns(**columns)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import basopt
-from basopt import cli, core, objectives
+from basopt import _trajectory, cli, core, objectives
 from basopt import BasConfig, ObjectiveError, RunResult, derive_trial_seed, lookup_objective, run
 from basopt.core import TERMINATIONS, TrialColumns, derive_trial_seeds, run_trials
 from basopt.cli import (
@@ -486,20 +486,33 @@ def test_a_campaign_across_blocks_is_run_trials_on_its_seeds(tmp_path, monkeypat
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def _helpers(monkeypatch, cpus=2, start=None):
-    """Give the campaign ``cpus`` usable CPUs and record every process it
-    starts, in the list returned; ``start(argv, **kwargs)`` stands in for
-    ``subprocess.Popen`` if given."""
-    started = []
-    popen = start or subprocess.Popen
+_SPAWN = getattr(os, "posix_spawn", None)
 
-    def recorded(argv, **kwargs):
-        started.append(popen(argv, **kwargs))
+
+def _helpers(monkeypatch, cpus=2, start=None):
+    """Give the campaign ``cpus`` usable CPUs and record the pid of every
+    process it starts, in the list returned; ``start(path, argv, env,
+    **kwargs)`` stands in for ``os.posix_spawn`` if given."""
+    started = []
+    spawn = start or _SPAWN
+
+    def recorded(*args, **kwargs):
+        started.append(spawn(*args, **kwargs))
         return started[-1]
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(subprocess, "Popen", recorded)
+    monkeypatch.setattr(os, "posix_spawn", recorded)
     return started
+
+
+def _reaped(pid: int) -> bool:
+    """Whether ``pid``, a process this one started, has been waited for;
+    one that has not is reaped here if it has ended."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def test_a_campaign_that_fails_in_its_second_block_leaves_the_out_dir_as_it_was(
@@ -528,35 +541,49 @@ def test_a_campaign_that_fails_in_its_second_block_leaves_the_out_dir_as_it_was(
         run_campaign(cfg)
     assert firsts[0] == 0 < firsts[1] == exc.value.trial
     assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
-    assert len(helpers) == 1 and helpers[0].returncode is not None
+    assert len(helpers) == 1 and _reaped(helpers[0])
 
 
-def _eager(argv, popen=subprocess.Popen, **kwargs):
-    """A helper that has created every name before it returns."""
-    helper = popen(argv, **kwargs)
-    assert helper.wait(timeout=60) == 0
-    return helper
+def _exit_code(pid: int, timeout: float = 60) -> int:
+    """The exit code of ``pid``, a process this one started, once it ends
+    within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not (ended := os.waitpid(pid, os.WNOHANG))[0]:
+        assert time.monotonic() < deadline, f"process {pid} still runs"
+        time.sleep(0.02)
+    return os.waitstatus_to_exitcode(ended[1])
 
 
-class _Late:
-    """A helper that reaches every name after the campaign has written it:
-    it runs to its end when the campaign kills it."""
-
-    returncode = None
-
-    def __init__(self, argv, popen=subprocess.Popen, **kwargs):
-        self.start = lambda: popen(argv, **kwargs)
-
-    def kill(self):
-        self.returncode = self.start().wait(timeout=60)
-        assert self.returncode == 0
-
-    def wait(self):
-        return self.returncode
+def _eager(trials: int):
+    """A stand-in for the spawn of a helper that is ahead of the campaign:
+    before it returns, the helper's code, run to its end on a message that
+    names them, has created all ``trials`` CSV names, empty."""
+    def spawn(path, argv, env, **kwargs):
+        read, write = os.pipe()
+        early = _SPAWN(path, argv, env, file_actions=[(os.POSIX_SPAWN_DUP2, read, 0)])
+        os.close(read)
+        with open(write, "wb") as pipe:
+            pipe.write(_trajectory.names([range(trials)]))
+        assert _exit_code(early) == 0
+        return _SPAWN(path, argv, env, **kwargs)
+    return spawn
 
 
-def _refused(argv, **kwargs):
+def _late(path, argv, env, **kwargs):
+    """A helper that reads nothing for 0.5 s: the campaign fills its pipe
+    and waits on it, and has written its own first CSVs before the helper
+    creates their names."""
+    delayed = ("import runpy, sys, time; time.sleep(0.5); del sys.argv[0]; "
+               "runpy.run_path(sys.argv[0], run_name='__main__')")
+    return _SPAWN(path, [argv[0], "-I", "-S", "-c", delayed, *argv[3:]], env, **kwargs)
+
+
+def _refused(*args, **kwargs):
     raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd")) if sys.platform.startswith("linux") else 0
 
 
 @pytest.mark.parametrize("stop", [[], ["--stall", "5"]], ids=["plain", "stall"])
@@ -564,24 +591,35 @@ def test_the_helper_does_not_change_the_artifacts(tmp_path, monkeypatch, stop):
     """A multi-block ``--traj all`` campaign writes the same files, with the
     same bytes and modes, on one CPU (no helper), with the real helper, with
     one that creates every name before the campaign writes any CSV, with one
-    that reaches every name after the campaign has written it, and with a
-    helper that cannot be started: ``summary.json`` and one non-empty CSV
-    per trial. At most one helper starts, and it has ended when
-    ``run_campaign`` returns."""
+    that reads after a delay (the campaign waits on a full pipe), with a
+    pipe that cannot be raised to a block and with a helper that cannot be
+    started (no helper either way): ``summary.json`` and one non-empty CSV
+    per trial. At most one helper starts, it has been reaped when
+    ``run_campaign`` returns, and the campaign leaves no file descriptor
+    open."""
+    import fcntl
+
+    def unraised(fd, cmd, arg=0):
+        raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
     monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)
     trials = 40
     argv = ["--objective", "michalewicz", "--iters", "30", "--trials", str(trials),
             "--seed", "9", "--traj", "all"] + stop
-    ways = {"one_cpu": (1, None, 0), "real": (2, None, 1), "eager": (2, _eager, 1),
-            "late": (2, _Late, 1), "refused": (2, _refused, 0)}
+    ways = {"one_cpu": (1, None, 0), "real": (2, None, 1), "eager": (2, _eager(trials), 1),
+            "late": (2, _late, 1), "unraised_pipe": (2, None, 0), "refused": (2, _refused, 0)}
     outputs = {}
     for way, (cpus, start, expected) in ways.items():
         with monkeypatch.context() as patch:
             helpers = _helpers(patch, cpus, start)
+            if way == "unraised_pipe":
+                patch.setattr(fcntl, "fcntl", unraised)
             out_dir = tmp_path / way
+            fds = _open_fds()
             run_campaign(parse_config(argv + ["--out-dir", str(out_dir)]))
+            assert _open_fds() == fds, way
         assert len(helpers) == expected, way
-        assert all(helper.returncode is not None for helper in helpers), way
+        assert all(map(_reaped, helpers)), way
         files = {path.name: (path.read_bytes(), path.stat().st_mode)
                  for path in out_dir.iterdir()}
         assert sorted(files) == ["summary.json"] + [f"traj_{i:03d}.csv" for i in range(trials)]
@@ -590,25 +628,130 @@ def test_the_helper_does_not_change_the_artifacts(tmp_path, monkeypatch, stop):
     assert all(files == outputs["one_cpu"] for files in outputs.values())
 
 
+@pytest.mark.parametrize("code,reason", [
+    ("import sys; sys.exit(3)", "exited with status 3"),
+    ("import sys; sys.stdin.buffer.read(); sys.exit(3)", "exited with status 3"),
+    ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9"),
+], ids=["at_once", "after_reading_all", "killed"])
+def test_a_helper_that_fails_fails_the_campaign(tmp_path, monkeypatch, capsys, code, reason):
+    """A helper that ends with a status other than 0, before the campaign
+    is done writing to it or after, is one ``out-dir`` error line and exit
+    status 2; the out-dir holds what it held before, and the helper has
+    been reaped."""
+    out_dir = tmp_path / "out"
+    run_campaign(_cfg(out_dir, objective="sphere", trials=2, iters=5, traj="all"))
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)
+    helpers = _helpers(monkeypatch, start=lambda path, argv, env, **kwargs: _SPAWN(
+        path, [argv[0], "-I", "-S", "-c", code], env, **kwargs))
+    assert main(["run", "--objective", "michalewicz", "--iters", "30", "--trials", "40",
+                 "--traj", "all", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: out-dir: {out_dir}: the trajectory helper {reason}"]
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+    assert len(helpers) == 1 and _reaped(helpers[0])
+
+
+def test_the_helper_writes_the_bytes_of_emit_trajectory(tmp_path):
+    """``_trajectory.py`` run as the helper runs, under ``-I -S`` (so with
+    the standard library alone: no numpy, no basopt), on hand-made frames: signed zeros, subnormals, ``1e16`` and a frame wide
+    enough to be read and formatted in three chunks. Each CSV has the bytes
+    that ``emit_trajectory`` writes for the same rows, the names it is told
+    to create exist, and one that exists already keeps its bytes."""
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e16, -1e16, 1.5e300, 0.1, 1.91]
+    frames = {3: np.array([special[:6], special[4:]]),
+              4: np.resize(special, (7, 4 + 20_000)),
+              7: rng.standard_normal((100, 14)),
+              8: np.empty((0, 5))}
+    assert _trajectory.chunk_rows(20_004) == 3
+    (tmp_path / "traj_001.csv").write_text("written")
+    message = _trajectory.names([range(0, 2), range(5, 7)]) + b"".join(
+        _trajectory.FRAME.pack(trial, *rows.shape) + rows.tobytes()
+        for trial, rows in frames.items())
+    proc = subprocess.run([sys.executable, "-I", "-S", _trajectory.__file__, str(tmp_path),
+                           "traj_{:03d}.csv"], input=message, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    for trial, rows in frames.items():
+        emit_trajectory(rows, tmp_path / "want.csv")
+        assert (tmp_path / f"traj_{trial:03d}.csv").read_bytes() == (
+            tmp_path / "want.csv").read_bytes(), trial
+    assert [(tmp_path / f"traj_{i:03d}.csv").read_text() for i in (0, 1, 5, 6)] == [
+        "", "written", "", ""]
+
+
+def test_a_signal_during_the_spawn_runs_once_the_helper_is_recorded(tmp_path, monkeypatch,
+                                                                    capsys):
+    """SIGTERM delivered to this thread after the helper exists and before
+    ``os.posix_spawn`` has returned is held until the helper's pid is
+    recorded: the campaign then exits with 128 + 15 and one error line,
+    leaves no out-dir, and has reaped the helper."""
+    spawned = []
+
+    def signalled(*args, **kwargs):
+        spawned.append(_SPAWN(*args, **kwargs))
+        signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+        return spawned[-1]
+
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)
+    _helpers(monkeypatch, start=signalled)
+    out_dir = tmp_path / "out"
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--objective", "michalewicz", "--iters", "30", "--trials", "40",
+                  "--traj", "all", "--out-dir", str(out_dir)])
+        assert exc.value.code == 128 + signal.SIGTERM
+        assert capsys.readouterr().err.splitlines() == ["error: interrupted by SIGTERM"]
+        assert not out_dir.exists()
+        assert len(spawned) == 1 and _reaped(spawned[0])
+    finally:
+        for pid in spawned:
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def test_a_helper_whose_pid_is_lost_ends_with_nothing_done(tmp_path, monkeypatch):
+    """A signal that another thread takes can still end the campaign after
+    the helper exists and before its pid is recorded. The campaign then
+    closes the pipe without sending a byte, and the helper ends with status
+    0 having created nothing."""
+    spawned = []
+
+    def lost(*args, **kwargs):
+        spawned.append(_SPAWN(*args, **kwargs))
+        raise SystemExit(128 + signal.SIGTERM)
+
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)
+    _helpers(monkeypatch, start=lost)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit):
+        run_campaign(_cfg(out_dir, objective="michalewicz", iters=30, trials=40, traj="all"))
+    assert not out_dir.exists()
+    assert len(spawned) == 1 and _exit_code(spawned[0]) == 0
+
+
 @pytest.mark.parametrize("argv,block_bytes", [
     (["--objective", "michalewicz", "--trials", "40", "--iters", "30"], 1 << 12),
     (["--objective", "michalewicz", "--dim", "2", "--iters", "100", "--trials", "200",
       "--traj", "none"], 1 << 12),
     (["--objective", "michalewicz", "--trials", "3", "--iters", "30", "--traj", "all"],
      core._BLOCK_BYTES),
-], ids=["traj_first", "mich2d_search", "one_block_traj_all"])
+    (["--objective", "michalewicz", "--trials", "4", "--iters", "30", "--traj", "all"], 1 << 12),
+], ids=["traj_first", "mich2d_search", "one_block_traj_all", "two_blocks_traj_all"])
 def test_a_campaign_whose_files_fit_one_block_starts_no_process(tmp_path, monkeypatch, argv,
                                                                 block_bytes):
     """The default ``--traj first``, ``--traj none`` (many blocks each) and
     a ``--traj all`` campaign of one block write no CSV after the first
-    block, so they start no helper on any number of CPUs, and run where
-    none could be started."""
+    block, and one of two blocks would leave the helper a single block to
+    write while the campaign waits, so they start no helper on any number
+    of CPUs, and run where none could be started."""
     monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
     attempts = []
 
-    def refused(argv, **kwargs):
+    def refused(path, argv, env, **kwargs):
         attempts.append(argv)
-        return _refused(argv, **kwargs)
+        return _refused(path, argv, env, **kwargs)
 
     _helpers(monkeypatch, cpus=4, start=refused)
     summary = run_campaign(parse_config(argv + ["--out-dir", str(tmp_path)]))
@@ -616,27 +759,36 @@ def test_a_campaign_whose_files_fit_one_block_starts_no_process(tmp_path, monkey
     assert (tmp_path / "summary.json").is_file() and len(summary.trials) > 1
 
 
-def test_importing_the_cli_does_not_import_subprocess():
-    """Only a campaign that starts a helper imports ``subprocess``."""
+def test_importing_the_cli_does_not_import_subprocess(tmp_path):
+    """Neither importing the CLI nor a campaign that starts a helper (a
+    multi-block ``--traj all`` campaign) imports ``subprocess``."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, basopt.cli; print('subprocess' in sys.modules)"],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", "import sys, basopt.cli; print('subprocess' in sys.modules); "
+         "import basopt.core; basopt.core._BLOCK_BYTES = 1 << 12; "
+         "basopt.cli.main(['run', '--objective', 'sphere', '--iters', '30', '--trials', '40', "
+         "'--traj', 'all', '--out-dir', 'out']); print('subprocess' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(Path(basopt.__file__).parents[1])))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (proc.stdout.splitlines()[0], proc.stdout.splitlines()[-1]) == ("False", "False")
 
 
 @pytest.mark.parametrize("caller", ["run_campaign", "run_trials"])
 def test_one_block_is_resident_at_a_time(tmp_path, monkeypatch, caller):
-    """When a block starts, the ``TrialColumns`` of the block before it are
-    dead: neither the engine's block loop nor its caller, a ``--traj all``
-    campaign or a loop over ``run_trials``, still holds them."""
+    """When a block starts, the ``TrialColumns`` of the block before it and
+    the array that holds its history rows are dead: neither the engine's
+    block loop nor its caller, a ``--traj all`` campaign (which writes some
+    blocks' CSVs and streams the others' rows to its helper) or a loop over
+    ``run_trials``, still holds them or a view of the rows."""
     columns = []
     run_block = core._run_block
 
     def resident(*args):
         assert all(ref() is None for ref in columns), "an earlier block is alive"
         result = run_block(*args)
-        columns.append(weakref.ref(result[0]))
+        history = result[0].history
+        columns.extend([weakref.ref(result[0]),
+                        weakref.ref(history if history.base is None else history.base)])
         return result
 
     monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 12)
@@ -648,7 +800,7 @@ def test_one_block_is_resident_at_a_time(tmp_path, monkeypatch, caller):
         objective = lookup_objective("michalewicz", 2)
         for _ in run_trials(cfg.search, objective, range(cfg.trials), record=cfg.trials):
             pass
-    assert len(columns) >= 4
+    assert len(columns) >= 8
 
 
 def test_campaign_memory_grows_by_its_columns_alone(tmp_path):
@@ -746,8 +898,8 @@ def test_emit_trajectory_matches_the_per_field_writer(trajectories):
                                evals=1 + 3 * len(trajectory), termination="max_iters",
                                seed=0)
             legacy_emit_trajectory(result, old)
-            for values in (cli._CSV_VALUES, 4, 40):
-                with mock.patch.object(cli, "_CSV_VALUES", values):
+            for values in (_trajectory.CSV_VALUES, 4, 40):
+                with mock.patch.object(_trajectory, "CSV_VALUES", values):
                     emit_trajectory(result.trajectory, new)
                 assert new.read_bytes() == old.read_bytes()
 
